@@ -67,9 +67,6 @@ class Carrier:
     def is_zero(self, elem) -> bool:
         return self.residual(elem) <= self.tol
 
-    def eq(self, x, y) -> bool:
-        return self.is_zero(self.sub(x, y))
-
 
 def _magnitude(v) -> float:
     if isinstance(v, complex):
@@ -432,28 +429,11 @@ def single_product_triviality(a: Carrier, count: int = 50, seed: int = 0) -> Ide
             rep.failures.append({"sample": i, "residual": r})
     # control: sigma restored, bracket of canonical pair survives composition
     bip = compose_bipartite(a, a)
-    probe = bip.alpha(tensor(_canonical_q(a), a.unit), tensor(_canonical_p(a), a.unit))
+    dof = a.unit.dof
+    probe = bip.alpha(tensor(PhasePoly.q(1, dof), a.unit), tensor(PhasePoly.p(1, dof), a.unit))
     if bip.residual(probe) <= bip.tol:
         rep.failures.append({"sample": -1, "note": "control bracket vanished"})
     return rep
-
-
-def _canonical_q(a: Carrier):
-    # polynomial carriers expose q/p through sampling domain; fall back to
-    # two non-commuting samples for other carriers
-    try:
-        dof = a.unit.dof
-        return PhasePoly.q(1, dof)
-    except AttributeError:
-        return a.sample(random.Random(123))
-
-
-def _canonical_p(a: Carrier):
-    try:
-        dof = a.unit.dof
-        return PhasePoly.p(1, dof)
-    except AttributeError:
-        return a.sample(random.Random(456))
 
 
 def beta_product(carrier: Carrier, sign: int = +1) -> Callable:

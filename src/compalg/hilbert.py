@@ -120,7 +120,6 @@ def hermitian_eig(a: np.ndarray):
 
 def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     _check_square(a)
-    n = a.shape[0]
     w2, _ = _jacobi_symmetric(_real_embedding(a))
     return w2[::2].copy() if _pairs_ok(w2) else np.sort(w2)[::2].copy()
 

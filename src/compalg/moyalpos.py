@@ -2,8 +2,10 @@
 
 States are Gaussian-weighted polynomials, integrated exactly via Gaussian
 moments with pi carried as a formal power.  Star products keep one
-polynomial factor so every series terminates; the functional <g* star g>
-is then an exact rational (or split-complex) number, which makes the
+polynomial factor so every series terminates; they expand over the same
+``phasepoly.contractions`` engine as the polynomial products, with the
+Gaussian-weighted factor on the left.  The functional <g* star g> is
+then an exact rational (or split-complex) number, which makes the
 elliptic/hyperbolic positivity split decidable, not numeric.
 """
 
@@ -19,6 +21,7 @@ from .phasepoly import (
     HYPERBOLIC,
     J_UNIT,
     PhasePoly,
+    contractions,
     star,
 )
 from .scalars import I_COMPLEX, J_SPLIT, SplitComplex
@@ -149,26 +152,6 @@ def fock_wigner(m: int, hbar: Fraction = Fraction(2)) -> GaussPoly:
     return gp
 
 
-def _nabla_pairs_gp(left: GaussPoly, right: PhasePoly, k: int):
-    """k-fold bidifferential contraction with a Gaussian-polynomial on the left."""
-    n = right.dof
-    pairs = [(left, right, Fraction(1))]
-    for _ in range(k):
-        nxt = []
-        for a, b, c in pairs:
-            if not a or not b:
-                continue
-            for i in range(n):
-                db_p = b.deriv(n + i)
-                if db_p:
-                    nxt.append((a.deriv(i), db_p, c))
-                db_q = b.deriv(i)
-                if db_q:
-                    nxt.append((a.deriv(n + i), db_q, -c))
-        pairs = nxt
-    return pairs
-
-
 def star_gp(
     F: GaussPoly,
     g: PhasePoly,
@@ -178,29 +161,25 @@ def star_gp(
 ) -> GaussPoly:
     """F star g (side="left") or g star F (side="right") as a finite sum.
 
-    The associative product expands as sum_k (J hbar/2)^k / k! nabla^k;
-    the series terminates at k = deg g because each contraction spends one
-    derivative on the polynomial factor.
+    The associative product expands as sum_k (J hbar/2)^k / k! nabla^k over
+    the shared ``contractions`` engine; swapping the factors flips the sign
+    of every contraction, so g star F uses (-J hbar/2)^k.  The series
+    terminates at k = deg g because each contraction spends one derivative
+    on the polynomial factor.
     """
     if cls not in (ELLIPTIC, HYPERBOLIC):
         raise ValueError("class must be elliptic or hyperbolic")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    hbar = Fraction(hbar)
-    j = J_UNIT[cls]
+    h2 = Fraction(hbar) / 2
+    jh2 = J_UNIT[cls] * (h2 if side == "left" else -h2)
     out = GaussPoly(F.s, PhasePoly(F.dof), F.pi_exp)
     for k in range(0, g.degree + 1):
-        coeff = (j * (hbar / 2)) ** k if k else Fraction(1)
-        coeff = coeff / Fraction(factorial(k))
         term = GaussPoly(F.s, PhasePoly(F.dof), F.pi_exp)
-        if side == "left":
-            for a, b, c in _nabla_pairs_gp(F, g, k):
-                term = term.add(a.mul_poly(b).scale(c))
-        else:
-            # g star F: swap roles, so the sign of each contraction flips
-            for a, b, c in _nabla_pairs_gp(F, g, k):
-                term = term.add(a.mul_poly(b).scale(-c if k % 2 else c))
-        out = out.add(term.scale(coeff))
+        for a, b, c in contractions(F, g, k):
+            term = term.add(a.mul_poly(b).scale(c))
+        # a rational 1 at k = 0 keeps the plain product's coefficients rational
+        out = out.add(term.scale(jh2**k / factorial(k) if k else 1))
     return out
 
 

@@ -4,6 +4,11 @@ Coordinates are ordered q^1..q^n, p_1..p_n.  Coefficients live in any of
 the exact scalar rings from :mod:`compalg.scalars` (or plain Fractions);
 every bracket and star-product series terminates on polynomials, so all
 identities here are decidable by structural equality.
+
+One bidifferential engine serves every product: ``contractions`` expands
+f (<->nabla)^k g into signed derivative pairs, and the three classes differ
+only in J^2 (-1, 0, +1) inside the one series sum_k (J hbar/2)^k/k! nabla^k,
+whose even half is ``sigma`` and whose odd half (J factored out) is ``alpha``.
 """
 
 from __future__ import annotations
@@ -74,6 +79,11 @@ class PhasePoly:
         if not isinstance(other, PhasePoly):
             return NotImplemented
         self._check(other)
+        # immutable, so an empty side can hand back the other operand
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         t = dict(self.terms)
         for e, c in other.terms.items():
             t[e] = t.get(e, 0) + c
@@ -102,6 +112,9 @@ class PhasePoly:
     def scale(self, s) -> "PhasePoly":
         if isinstance(s, int):
             s = Fraction(s)
+        if isinstance(s, Fraction) and s == 1:
+            # rational 1 keeps every coefficient's value and ring
+            return self
         return PhasePoly(self.dof, {e: s * c for e, c in self.terms.items()})
 
     def __eq__(self, other):
@@ -174,32 +187,37 @@ def _to_complex(c) -> complex:
     return complex(float(c.re), float(c.im))
 
 
-def nabla_power(f: PhasePoly, g: PhasePoly, k: int) -> PhasePoly:
-    """k-fold bidifferential power f (<->nabla)^k g, expanded exactly.
+def contractions(f, g: PhasePoly, k: int):
+    """Signed derivative pairs (a, b, c) with f (<->nabla)^k g = sum c * a b.
 
-    One application contracts sum_i (d_qi (x) d_pi - d_pi (x) d_qi)
-    between the left and right factor; k = 0 is the plain product.
+    One contraction applies sum_i (d_qi (x) d_pi - d_pi (x) d_qi) between
+    the left and right factor; k = 0 yields the pair (f, g, 1).  Only
+    ``deriv``, truthiness and ``g.dof`` are used, so the left factor may be
+    anything that differentiates (moyalpos puts a Gaussian-weighted
+    polynomial there).  The left factor is differentiated only where the
+    right one's derivative survives, and vanishing pairs are dropped.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
+    if k == 0:
+        yield f, g, 1
+        return
+    n = g.dof
+    for a, b, c in contractions(f, g, k - 1):
+        for i in range(n):
+            for a_axis, b_axis, sign in ((i, n + i, c), (n + i, i, -c)):
+                db = b.deriv(b_axis)
+                if db:
+                    da = a.deriv(a_axis)
+                    if da:
+                        yield da, db, sign
+
+
+def nabla_power(f: PhasePoly, g: PhasePoly, k: int) -> PhasePoly:
+    """k-fold bidifferential power f (<->nabla)^k g, expanded exactly."""
     f._check(g)
-    n = f.dof
-    pairs = [(f, g, Fraction(1))]
-    for _ in range(k):
-        nxt = []
-        for a, b, c in pairs:
-            if not a or not b:
-                continue
-            for i in range(n):
-                da_q, db_p = a.deriv(i), b.deriv(n + i)
-                if da_q and db_p:
-                    nxt.append((da_q, db_p, c))
-                da_p, db_q = a.deriv(n + i), b.deriv(i)
-                if da_p and db_q:
-                    nxt.append((da_p, db_q, -c))
-        pairs = nxt
     total = PhasePoly(f.dof)
-    for a, b, c in pairs:
+    for a, b, c in contractions(f, g, k):
         total = total + (a * b).scale(c)
     return total
 
@@ -209,38 +227,33 @@ def poisson(f: PhasePoly, g: PhasePoly) -> PhasePoly:
     return nabla_power(f, g, 1)
 
 
-def _series_kmax(f: PhasePoly, g: PhasePoly) -> int:
-    return min(f.degree, g.degree)
+def _series(f: PhasePoly, g: PhasePoly, cls: str, hbar: Fraction, parity: int) -> PhasePoly:
+    """Even (parity 0) or odd (parity 1) half of sum_k (J hbar/2)^k/k! nabla^k.
+
+    J^parity is factored out, so the k-th coefficient is
+    s^(k//2) (hbar/2)^(k - parity) / k! with s = J^2.  Once it is zero
+    (k >= 2 when J^2 = 0, or hbar = 0) it stays zero, and nabla^k vanishes
+    once k exceeds either factor's degree; either ends the sum.
+    """
+    f._check(g)
+    s, h2 = J_SQUARED[cls], Fraction(hbar) / 2
+    total = PhasePoly(f.dof)
+    for k in range(parity, min(f.degree, g.degree) + 1, 2):
+        c = s ** (k // 2) * h2 ** (k - parity) / factorial(k)
+        if not c:
+            break
+        total = total + nabla_power(f, g, k).scale(c)
+    return total
 
 
 def alpha(f: PhasePoly, g: PhasePoly, cls: str, hbar: Fraction = DEFAULT_HBAR) -> PhasePoly:
     """Skew product: sine series (elliptic), sinh (hyperbolic), bracket (parabolic)."""
-    if cls == PARABOLIC:
-        return nabla_power(f, g, 1)
-    f._check(g)
-    total = PhasePoly(f.dof)
-    h2 = Fraction(hbar) / 2
-    for k in range(1, _series_kmax(f, g) + 1, 2):
-        c = Fraction(2, 1) / Fraction(hbar) * h2**k / factorial(k)
-        if cls == ELLIPTIC and ((k - 1) // 2) % 2 == 1:
-            c = -c
-        total = total + nabla_power(f, g, k).scale(c)
-    return total
+    return _series(f, g, cls, hbar, 1)
 
 
 def sigma(f: PhasePoly, g: PhasePoly, cls: str, hbar: Fraction = DEFAULT_HBAR) -> PhasePoly:
     """Symmetric product: cosine series (elliptic), cosh (hyperbolic), product (parabolic)."""
-    if cls == PARABOLIC:
-        return f * g
-    f._check(g)
-    total = PhasePoly(f.dof)
-    h2 = Fraction(hbar) / 2
-    for k in range(0, _series_kmax(f, g) + 1, 2):
-        c = h2**k / Fraction(factorial(k))
-        if cls == ELLIPTIC and (k // 2) % 2 == 1:
-            c = -c
-        total = total + nabla_power(f, g, k).scale(c)
-    return total
+    return _series(f, g, cls, hbar, 0)
 
 
 def star(f: PhasePoly, g: PhasePoly, cls: str, hbar: Fraction = DEFAULT_HBAR) -> PhasePoly:
@@ -250,20 +263,10 @@ def star(f: PhasePoly, g: PhasePoly, cls: str, hbar: Fraction = DEFAULT_HBAR) ->
 
 
 def hbar_zero_limit(f: PhasePoly, g: PhasePoly) -> PhasePoly:
-    """Elliptic skew product at hbar = 0, by symbolic substitution.
+    """Elliptic skew product alpha(f, g, ELLIPTIC, 0), summed by the same series.
 
-    The k-th series term carries hbar^(k-1), so only k = 1 survives; the
-    result is asserted equal to the canonical bracket before returning.
+    The k-th term carries hbar^(k-1), so at hbar = 0 only k = 1 survives
+    and the result should be the canonical bracket; callers compare it
+    with ``poisson``.
     """
-    f._check(g)
-    total = PhasePoly(f.dof)
-    for k in range(1, _series_kmax(f, g) + 1, 2):
-        hbar_exponent = k - 1
-        if hbar_exponent != 0:
-            continue
-        c = Fraction(1, 2 ** (k - 1) * factorial(k))
-        if ((k - 1) // 2) % 2 == 1:
-            c = -c
-        total = total + nabla_power(f, g, k).scale(c)
-    assert total == poisson(f, g)
-    return total
+    return _series(f, g, ELLIPTIC, Fraction(0), 1)

@@ -60,10 +60,6 @@ def _conj(z):
     return z.conj()
 
 
-def q_add(x: Quantion, y: Quantion) -> Quantion:
-    return Quantion(x.a + y.a, x.b + y.b, x.c + y.c, x.d + y.d)
-
-
 def q_mul(x: Quantion, y: Quantion) -> Quantion:
     """2x2 matrix product on the reduced forms."""
     return Quantion(

@@ -155,11 +155,6 @@ EPS_DUAL = DualNumber(0, 1)
 I_COMPLEX = ComplexRational(0, 1)
 
 
-def split_mul(z: SplitComplex, w: SplitComplex) -> SplitComplex:
-    """Split-complex product (re.re + im.im) + j(re.im + im.re)."""
-    return z * w
-
-
 def para_square(z: SplitComplex) -> Fraction:
     """Signed square z* z = re^2 - im^2 (exact)."""
     return z.re * z.re - z.im * z.im

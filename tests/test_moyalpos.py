@@ -11,6 +11,7 @@ from compalg.errors import (
     UnsupportedLevel,
 )
 from compalg.moyalpos import (
+    FOCK_LEVELS,
     GaussPoly,
     chain_identity_check,
     elliptic_control_sweep,
@@ -22,8 +23,8 @@ from compalg.moyalpos import (
     positivity_functional,
     star_gp,
 )
-from compalg.phasepoly import ELLIPTIC, HYPERBOLIC, PhasePoly
-from compalg.scalars import I_COMPLEX, J_SPLIT, SplitComplex
+from compalg.phasepoly import ELLIPTIC, HYPERBOLIC, J_UNIT, PhasePoly
+from compalg.scalars import J_SPLIT, SplitComplex
 
 H = Fraction(2)
 
@@ -78,12 +79,18 @@ def test_star_gp_unitality():
 
 
 def test_star_gp_bopp_shift_oracle():
-    # F star q = (q + (i hbar/2) * <-(d/dp)>) F = q F - (i hbar/2) dF/dp
-    F = fock_wigner(0, H)
+    # F star q = q F - (J hbar/2) dF/dp and q star F = q F + (J hbar/2) dF/dp,
+    # for both classes, every audited level and several hbar
     q = PhasePoly.q()
-    got = star_gp(F, q, "left", ELLIPTIC, H)
-    oracle = F.mul_poly(q).add(F.deriv(1).scale(I_COMPLEX * (H / 2)).scale(Fraction(-1)))
-    assert got.poly == oracle.poly and got.s == oracle.s
+    for cls in (ELLIPTIC, HYPERBOLIC):
+        for side, sign in (("left", -1), ("right", 1)):
+            for m in FOCK_LEVELS:
+                for h in (Fraction(1, 2), H, Fraction(3)):
+                    F = fock_wigner(m, h)
+                    got = star_gp(F, q, side, cls, h)
+                    shift = F.deriv(1).scale(J_UNIT[cls] * (sign * h / 2))
+                    oracle = F.mul_poly(q).add(shift)
+                    assert got.poly == oracle.poly and got.s == oracle.s
 
 
 def test_star_gp_elliptic_vs_hyperbolic_sign_pattern():

@@ -128,6 +128,22 @@ def test_hbar_zero_limit_is_poisson():
         f = sample_poly(rng, 2, 4)
         g = sample_poly(rng, 2, 4)
         assert hbar_zero_limit(f, g) == poisson(f, g)
+    # a pair whose k = 3 term survives at hbar = 2 but not in the limit
+    q, p = PhasePoly.q(), PhasePoly.p()
+    f, g = q * q * q, p * p * p
+    assert alpha(f, g, ELLIPTIC, Fraction(2)) != poisson(f, g)
+    assert hbar_zero_limit(f, g) == poisson(f, g)
+
+
+def test_parabolic_products_are_product_and_bracket():
+    # J^2 = 0 keeps only k = 0 of the even half and k = 1 of the odd half
+    rng = random.Random(9)
+    for dof in (1, 2):
+        for _ in range(20):
+            f = sample_poly(rng, dof, 4)
+            g = sample_poly(rng, dof, 4)
+            assert sigma(f, g, PARABOLIC) == f * g
+            assert alpha(f, g, PARABOLIC) == poisson(f, g)
 
 
 def test_eval_float_and_canonical_str():

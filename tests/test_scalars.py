@@ -20,14 +20,13 @@ from compalg.scalars import (
     polar_reconstruct,
     quadrant_of,
     revalidate_witness,
-    split_mul,
     vec2_para_square,
 )
 
 
 def test_split_product_frozen_value():
     # (2+j)(3+2j) = (6+2) + (4+3)j
-    z = split_mul(SplitComplex(2, 1), SplitComplex(3, 2))
+    z = SplitComplex(2, 1) * SplitComplex(3, 2)
     assert z == SplitComplex(8, 7)
 
 
