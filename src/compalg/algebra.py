@@ -419,16 +419,15 @@ def single_product_triviality(a: Carrier, count: int = 50, seed: int = 0) -> Ide
     """
     rng = random.Random(seed)
     rep = IdentityReport("single-product-triviality", a.name, count)
+    bip = compose_bipartite(a, a)
     for i in range(count):
         f, g = a.sample(rng), a.sample(rng)
         ansatz = tensor(a.alpha(f, g), a.alpha(a.unit, a.unit))
-        bip = compose_bipartite(a, a)
-        r = max(_magnitude(v) for v in bip.decompose(ansatz).values()) if bip.decompose(ansatz) else 0.0
+        r = max((_magnitude(v) for v in bip.decompose(ansatz).values()), default=0.0)
         rep.max_residual = max(rep.max_residual, r)
         if r > a.tol:
             rep.failures.append({"sample": i, "residual": r})
     # control: sigma restored, bracket of canonical pair survives composition
-    bip = compose_bipartite(a, a)
     dof = a.unit.dof
     probe = bip.alpha(tensor(PhasePoly.q(1, dof), a.unit), tensor(PhasePoly.p(1, dof), a.unit))
     if bip.residual(probe) <= bip.tol:

@@ -225,17 +225,17 @@ def _suite_ghost(cfg: SuiteConfig, seed: int):
     try:
         w = moyalpos.ghost_search(cfg.hbar[0], cfg.ghost_bound)
         extra = {"coeffs": list(w.coeffs), "value": str(w.value_real), "g": w.canonical}
-        return _result("ghost-hyperbolic", "fail", True, (2 * cfg.ghost_bound + 1) ** 5, extra=extra)
+        return _result("ghost-hyperbolic", "fail", True, w.evaluated, extra=extra)
     except CompalgError as e:
         return _result("ghost-hyperbolic", "fail", False, 0, [{"error": str(e)}])
 
 
 def _suite_positivity(cfg: SuiteConfig, seed: int):
-    bound = min(cfg.ghost_bound, 1)  # full sweep over both levels stays fast
-    mn = moyalpos.elliptic_control_sweep(cfg.hbar[0], bound)
+    levels = (0, 1)
+    mn = moyalpos.elliptic_control_sweep(cfg.hbar[0], cfg.ghost_bound, levels)
     ok = mn >= 0
     return _result(
-        "positivity-elliptic", "pass", ok, 2 * (2 * bound + 1) ** 5,
+        "positivity-elliptic", "pass", ok, len(levels) * (2 * cfg.ghost_bound + 1) ** 5,
         extra={"min_value": str(mn)},
     )
 

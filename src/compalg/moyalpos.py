@@ -6,14 +6,17 @@ polynomial factor so every series terminates; they expand over the same
 ``phasepoly.contractions`` engine as the polynomial products, with the
 Gaussian-weighted factor on the left.  The functional <g* star g> is
 then an exact rational (or split-complex) number, which makes the
-elliptic/hyperbolic positivity split decidable, not numeric.
+elliptic/hyperbolic positivity split decidable, not numeric.  It is
+sesquilinear in the coefficients of g, so the lattice sweeps read it off
+one exact 3x3 Gram matrix over {1, q, p} per state instead of expanding a
+star product at every lattice point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .errors import ExhaustedWithoutWitness, NonNormalized, UnsupportedLevel
 from .phasepoly import (
@@ -24,7 +27,7 @@ from .phasepoly import (
     contractions,
     star,
 )
-from .scalars import I_COMPLEX, J_SPLIT, SplitComplex
+from .scalars import J_SPLIT
 
 
 def _conj_coeff(c):
@@ -241,11 +244,15 @@ def chain_identity_check(
 
 @dataclass(frozen=True)
 class GhostWitness:
-    """Lattice test function whose functional value is exactly negative."""
+    """Lattice test function whose functional value is exactly negative.
+
+    ``evaluated`` counts the lattice points walked up to and including it.
+    """
 
     coeffs: tuple
     value_real: Fraction
     canonical: str
+    evaluated: int
 
 
 def _lattice_poly(c1, c2, c3, c4, c5, unit) -> PhasePoly:
@@ -269,6 +276,59 @@ def lattice_points(bound: int = 2):
                         yield (c1, c2, c3, c4, c5)
 
 
+def _gram(F: GaussPoly, cls: str, hbar: Fraction) -> list:
+    """G_ij = integral F (e_i star e_j) over the basis e = (1, q, p).
+
+    The functional is sesquilinear, so <g* star g> = sum conj(a_i) a_j G_ij
+    for g = sum a_i e_i.  For an elliptic ground state the chain equality
+    G_ij = 2 pi hbar integral (e_i star F)* (e_j star F) is checked on the
+    whole matrix, which covers every g in span{1, q, p} at once.
+    """
+    val, pexp = integrate(F)
+    if (val, pexp) != (1, 0):
+        raise NonNormalized(f"state integrates to {val} * pi^{pexp}")
+    basis = (PhasePoly.const(1, 1), PhasePoly.q(), PhasePoly.p())
+    G = []
+    for ei in basis:
+        row = []
+        for ej in basis:
+            out, out_pexp = integrate(F.mul_poly(star(ei, ej, cls, hbar)))
+            if out_pexp != 0 and out != 0:
+                raise AssertionError("functional did not normalize to pi^0")
+            row.append(out)
+        G.append(row)
+    if cls == ELLIPTIC and F.poly.degree == 0:
+        eF = [star_gp(F, e, "right", cls, hbar) for e in basis]
+        for i, row in enumerate(G):
+            for j, out in enumerate(row):
+                rhs, rhs_pexp = integrate(eF[i].conj().mul_gauss(eF[j]))
+                if (out, 0) != (rhs * 2 * hbar, 0 if rhs == 0 else rhs_pexp + 1):
+                    raise AssertionError("chain equality failed")
+    return G
+
+
+# lattice coordinate a multiplies u_a e_(i_a) in g = c1 + (c2+Jc4)q + (c3+Jc5)p
+_LATTICE_AXES = (0, 1, 2, 1, 2)
+
+
+def _lattice_form(G: list, cls: str) -> tuple:
+    """Integer 5x5 form N and denominator D with <g* star g> real part
+    = sum_ab c_a c_b N_ab / D, where N_ab / D = Re(conj(u_a) u_b G_(i_a i_b))
+    and u = (1, 1, 1, J, J)."""
+    u = (1, 1, 1, J_UNIT[cls], J_UNIT[cls])
+    Q = [
+        [_real_part(_conj_coeff(u[a]) * u[b] * G[i][j]) for b, j in enumerate(_LATTICE_AXES)]
+        for a, i in enumerate(_LATTICE_AXES)
+    ]
+    D = lcm(*(x.denominator for row in Q for x in row))
+    return [[int(x * D) for x in row] for row in Q], D
+
+
+def _form(N: list, c: tuple) -> int:
+    """sum_ab c_a c_b N_ab: 25 integer multiply-adds per lattice point."""
+    return sum(ca * sum(n * cb for n, cb in zip(row, c)) for ca, row in zip(c, N))
+
+
 def ghost_search(hbar: Fraction = Fraction(2), bound: int = 2) -> GhostWitness:
     """First (lexicographic) lattice witness of hyperbolic non-positivity.
 
@@ -276,12 +336,12 @@ def ghost_search(hbar: Fraction = Fraction(2), bound: int = 2) -> GhostWitness:
     reproducible regardless of how the sweep is scheduled.
     """
     hbar = Fraction(hbar)
-    F = fock_wigner(0, hbar)
-    for coeffs in lattice_points(bound):
-        g = _lattice_poly(*coeffs, unit=J_SPLIT)
-        val = positivity_functional(F, g, HYPERBOLIC, hbar)
-        if _real_part(val) < 0:
-            return GhostWitness(coeffs, _real_part(val), g.canonical_str())
+    N, D = _lattice_form(_gram(fock_wigner(0, hbar), HYPERBOLIC, hbar), HYPERBOLIC)
+    for evaluated, coeffs in enumerate(lattice_points(bound), 1):
+        v = _form(N, coeffs)
+        if v < 0:
+            g = _lattice_poly(*coeffs, unit=J_SPLIT)
+            return GhostWitness(coeffs, Fraction(v, D), g.canonical_str(), evaluated)
     raise ExhaustedWithoutWitness(f"no negative value on lattice bound {bound}")
 
 
@@ -295,10 +355,8 @@ def elliptic_control_sweep(
     hbar = Fraction(hbar)
     best = None
     for m in levels:
-        F = fock_wigner(m, hbar)
-        for coeffs in lattice_points(bound):
-            g = _lattice_poly(*coeffs, unit=I_COMPLEX)
-            r = _real_part(positivity_functional(F, g, ELLIPTIC, hbar))
-            if best is None or r < best:
-                best = r
+        N, D = _lattice_form(_gram(fock_wigner(m, hbar), ELLIPTIC, hbar), ELLIPTIC)
+        r = Fraction(min(_form(N, c) for c in lattice_points(bound)), D)
+        if best is None or r < best:
+            best = r
     return best

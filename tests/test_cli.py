@@ -166,3 +166,13 @@ def test_main_suite_flag(tmp_path):
     assert code == 0
     data = json.loads(rep.read_text())
     assert [s["name"] for s in data["suites"]] == ["split-complex-geometry"]
+
+
+def test_positivity_suites_report_computed_samples():
+    rep = run(fast_cfg(suites=["ghost-hyperbolic", "positivity-elliptic"]))
+    suites = {s["name"]: s for s in rep["suites"]}
+    ghost = suites["ghost-hyperbolic"]
+    # the first ghost at hbar = 2 is the 4th lexicographic lattice point
+    assert ghost["samples"] == 4 and ghost["witness"]["coeffs"] == [-2, -2, -2, -2, 1]
+    elliptic = suites["positivity-elliptic"]
+    assert elliptic["samples"] == 2 * 5**5 and elliptic["witness"]["min_value"] == "0"

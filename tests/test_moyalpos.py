@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 import sympy as sp
@@ -13,6 +14,9 @@ from compalg.errors import (
 from compalg.moyalpos import (
     FOCK_LEVELS,
     GaussPoly,
+    _form,
+    _gram,
+    _lattice_form,
     chain_identity_check,
     elliptic_control_sweep,
     fock_wigner,
@@ -190,3 +194,85 @@ def test_lattice_enumeration_order():
 def test_poly_conj_split_coefficients():
     g = PhasePoly.q().scale(SplitComplex(1, 2))
     assert poly_conj(g) == PhasePoly.q().scale(SplitComplex(1, -2))
+
+
+HBARS = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3))
+# first lexicographic hyperbolic ghost at lattice bound 2, per hbar
+GHOST_TABLE = {
+    Fraction(1, 2): ((-1, -2, -2, -2, 1), Fraction(-5, 4)),
+    Fraction(1): ((-2, -2, -2, -2, 1), Fraction(-1, 2)),
+    Fraction(2): ((-2, -2, -2, -2, 1), Fraction(-5)),
+    Fraction(3): ((-2, -2, -2, -2, 0), Fraction(-2)),
+}
+
+
+def _lattice_poly(c, unit):
+    c1, c2, c3, c4, c5 = (Fraction(x) for x in c)
+    q, p = PhasePoly.q(), PhasePoly.p()
+    return PhasePoly.const(c1, 1) + q.scale(c2 + unit * c4) + p.scale(c3 + unit * c5)
+
+
+def test_gram_form_matches_functional_oracle():
+    # the direct functional, with its per-point chain check, is the oracle
+    rng = random.Random(5)
+    for cls in (ELLIPTIC, HYPERBOLIC):
+        for m in FOCK_LEVELS:
+            for h in (Fraction(1, 2), H, Fraction(3)):
+                F = fock_wigner(m, h)
+                N, D = _lattice_form(_gram(F, cls, h), cls)
+                for c in rng.sample(list(lattice_points(2)), 10):
+                    val = positivity_functional(F, _lattice_poly(c, J_UNIT[cls]), cls, h)
+                    assert Fraction(_form(N, c), D) == getattr(val, "re", val), (cls, m, h, c)
+
+
+@pytest.mark.parametrize("h", HBARS)
+def test_ghost_table_and_elliptic_minimum(h):
+    coeffs, value = GHOST_TABLE[h]
+    w = ghost_search(h, 2)
+    assert (w.coeffs, w.value_real) == (coeffs, value)
+    assert w.canonical == _lattice_poly(coeffs, J_SPLIT).canonical_str()
+    assert w.evaluated == list(lattice_points(2)).index(coeffs) + 1
+    assert elliptic_control_sweep(h, 2) == 0
+
+
+def test_gram_chain_equality_can_fail():
+    # the ground state of hbar = 2 is not star-idempotent at hbar = 3
+    with pytest.raises(AssertionError, match="chain equality"):
+        _gram(fock_wigner(0, H), ELLIPTIC, Fraction(3))
+
+
+def test_gram_rejects_unnormalized_state():
+    bad = GaussPoly(H, PhasePoly.const(1, 1), 0)
+    with pytest.raises(NonNormalized):
+        _gram(bad, ELLIPTIC, H)
+
+
+def _principal_minors(G):
+    """All 7 principal minors of a 3x3 Hermitian matrix, in the order
+    G00, G11, G22, {01}, {02}, {12}, det; each must be real."""
+    out = []
+    for size in (1, 2, 3):
+        for idx in combinations(range(3), size):
+            det = Fraction(0)
+            for perm in permutations(range(size)):
+                sign = (-1) ** sum(perm[a] > perm[b] for a, b in combinations(range(size), 2))
+                term = Fraction(sign)
+                for a, b in enumerate(perm):
+                    term = term * G[idx[a]][idx[b]]
+                det = det + term
+            assert getattr(det, "im", 0) == 0
+            out.append(getattr(det, "re", det))
+    return out
+
+
+def test_elliptic_gram_psd_certificate():
+    # Sylvester: all principal minors >= 0 proves positivity on all of C^3
+    for m in FOCK_LEVELS:
+        for h in HBARS:
+            assert min(_principal_minors(_gram(fock_wigner(m, h), ELLIPTIC, h))) >= 0
+    assert _principal_minors(_gram(fock_wigner(0, H), ELLIPTIC, H)) == [1, 1, 1, 1, 1, 0, 0]
+    assert _principal_minors(_gram(fock_wigner(1, H), ELLIPTIC, H)) == [1, 3, 3, 3, 3, 8, 8]
+    # control: a level-1 state of width hbar = 1/2 probed at hbar = 3 breaks
+    # the uncertainty bound, and the {q, p} minor turns negative
+    minors = _principal_minors(_gram(fock_wigner(1, Fraction(1, 2)), ELLIPTIC, Fraction(3)))
+    assert minors[5] == Fraction(9, 16) - Fraction(9, 4)
