@@ -3,7 +3,8 @@
 Every suite is a pure function of (config, seed) and the report is
 serialized with sorted keys and no timing data, so identical inputs give
 byte-identical JSON.  Expected-fail suites (the no-go results) count as
-passing exactly when they produce their witness.
+passing exactly when they produce their witness.  A suite that raises is
+recorded with verdict "error" and the other suites still run.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import random
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import pi
@@ -154,7 +156,7 @@ def _suite_hilbert(cfg: SuiteConfig, seed: int):
     failures = []
     total = 0
     worst = 0.0
-    for dim in (4, min(6, cfg.dim_cap)):
+    for dim in sorted({min(4, cfg.dim_cap), cfg.dim_cap}):
         carrier = hilbert.matrix_carrier(dim)
         for rep in algebra.check_all_identities(carrier, cfg.identity_count, seed):
             total += rep.samples
@@ -405,24 +407,29 @@ SUITES = {
 def run(cfg: SuiteConfig) -> dict:
     names = sorted(SUITES) if "all" in cfg.suites else sorted(set(cfg.suites))
     results = []
-    overall = True
+    verdicts = set()
     for name in names:
         runner, _, expected = SUITES[name]
         t0 = time.monotonic()
-        res = runner(cfg, cfg.seed)
+        try:
+            res = runner(cfg, cfg.seed)
+        except Exception as e:  # one raising suite must not abort the others
+            traceback.print_exc(file=sys.stderr)
+            res = _result(name, expected, False, 0, [{"error": f"{type(e).__name__}: {e}"}])
+            res["verdict"] = "error"
         wall = time.monotonic() - t0
         res["expected"] = expected
         res["wall_ms"] = round(wall * 1000.0, 1) if cfg.record_timings else 0
         if cfg.record_timings:
             print(f"  {name}: {wall:.2f}s", file=sys.stderr)
-        overall &= res["verdict"] == "pass"
+        verdicts.add(res["verdict"])
         results.append(res)
     return {
         "version": SCHEMA_VERSION,
         "tool": __version__,
         "config": config_echo(cfg),
         "suites": results,
-        "verdict": "pass" if overall else "fail",
+        "verdict": "error" if "error" in verdicts else "fail" if "fail" in verdicts else "pass",
     }
 
 
@@ -526,7 +533,7 @@ def main(argv=None) -> int:
                 f.write(out)
         else:
             sys.stdout.write(out)
-        return 0 if rep["verdict"] == "pass" else 1
+        return {"pass": 0, "fail": 1, "error": 3}[rep["verdict"]]
     except (ConfigError, SchemaMismatch, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -3,12 +3,13 @@
 The two products become (i/hbar) times the commutator and the symmetrized
 product; the associative product with the minus sign is literal matrix
 multiplication.  The operator norm is the spectral radius of T^dagger T,
-computed with a self-contained cyclic Jacobi eigensolver (complex
-Hermitian matrices are embedded as real symmetric ones).
+computed with a self-contained cyclic Jacobi eigensolver that rotates the
+complex Hermitian matrix directly.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,43 +52,47 @@ def op_sigma(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Hermitian eigensolver: cyclic Jacobi on the real symmetric embedding
+# Hermitian eigensolver: cyclic complex Jacobi
 # ---------------------------------------------------------------------------
 
-def _real_embedding(a: np.ndarray) -> np.ndarray:
-    x, y = a.real, a.imag
-    return np.block([[x, -y], [y, x]])
+_JACOBI_SWEEPS = 60
+_JACOBI_TOL = 1e-14
 
 
-def _jacobi_symmetric(s: np.ndarray, max_sweeps: int = 60, tol: float = 1e-14):
-    """Cyclic Jacobi sweeps on a real symmetric matrix; returns (w, V)."""
-    a = s.copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    for _ in range(max_sweeps):
+def _jacobi_hermitian(h: np.ndarray):
+    """Cyclic Jacobi on a complex Hermitian matrix; returns (w ascending, unitary V).
+
+    Golub & Van Loan section 8.5: the phase e^{i phi} = a_pq/|a_pq| makes the
+    pivot real and the real symmetric rotation zeroes it, A <- U* A U with
+    U = diag(1, e^{-i phi}) [[c, s], [-s, c]] on the (p, q) plane.  V = prod U
+    is stacked under A, so one column rotation updates both.
+    """
+    n = h.shape[0]
+    av = np.vstack([np.array(h, dtype=complex), np.eye(n, dtype=complex)])
+    a, v = av[:n], av[n:]
+    limit = _JACOBI_TOL * max(1.0, float(np.max(np.abs(a))))
+    for _ in range(_JACOBI_SWEEPS):
         off = 0.0
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol * scale:
+                apq = complex(a[p, q])
+                mag = abs(apq)
+                if mag <= limit:
                     continue
-                off = max(off, abs(apq))
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                sn = t * c
-                rp, rq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * rp - sn * rq
-                a[:, q] = sn * rp + c * rq
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - sn * rq
-                a[q, :] = sn * rp + c * rq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - sn * vq
-                v[:, q] = sn * vp + c * vq
-        if off <= tol * scale:
-            w = np.diag(a).copy()
+                off = max(off, mag)
+                ph = apq / mag
+                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau)) if tau != 0 else 1.0
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c
+                cp, cq = av[:, p].copy(), ph.conjugate() * av[:, q]
+                av[:, p] = c * cp - s * cq
+                av[:, q] = s * cp + c * cq
+                rp, rq = a[p, :].copy(), ph * a[q, :]
+                a[p, :] = c * rp - s * rq
+                a[q, :] = s * rp + c * rq
+        if off <= limit:
+            w = a.diagonal().real
             order = np.argsort(w)
             return w[order], v[:, order]
     raise EigenFailure("Jacobi sweeps did not converge")
@@ -99,34 +104,13 @@ def hermitian_eig(a: np.ndarray):
     Residual contract: ||A v - w v|| <= 1e-11 * scale per column.
     """
     _check_square(a)
-    n = a.shape[0]
-    w2, v2 = _jacobi_symmetric(_real_embedding(a))
-    # each eigenvalue appears twice; complexify and keep one vector per copy
-    vecs, vals = [], []
-    for k in range(2 * n):
-        z = v2[:n, k] + 1j * v2[n:, k]
-        for u in vecs:
-            z = z - (u.conj() @ z) * u
-        nz = np.linalg.norm(z)
-        if nz > 1e-8:
-            vecs.append(z / nz)
-            vals.append(w2[k])
-        if len(vecs) == n:
-            break
-    if len(vecs) < n:
-        raise EigenFailure("could not extract a full complex eigenbasis")
-    return np.array(vals), np.array(vecs).T
+    return _jacobi_hermitian(a)
 
 
 def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues (ascending) of a Hermitian matrix."""
     _check_square(a)
-    w2, _ = _jacobi_symmetric(_real_embedding(a))
-    return w2[::2].copy() if _pairs_ok(w2) else np.sort(w2)[::2].copy()
-
-
-def _pairs_ok(w2: np.ndarray) -> bool:
-    w2 = np.sort(w2)
-    return bool(np.all(np.abs(w2[::2] - w2[1::2]) < 1e-9 * max(1.0, np.max(np.abs(w2)))))
+    return _jacobi_hermitian(a)[0]
 
 
 def spectral_norm(t: np.ndarray) -> float:

@@ -13,7 +13,7 @@ from compalg.cli import (
     report_md,
     run,
 )
-from compalg.errors import ConfigError, SchemaMismatch
+from compalg.errors import ConfigError, EigenFailure, SchemaMismatch
 
 FAST_SUITES = ["split-complex-geometry", "minimizer-no-go", "quantions"]
 
@@ -176,3 +176,34 @@ def test_positivity_suites_report_computed_samples():
     assert ghost["samples"] == 4 and ghost["witness"]["coeffs"] == [-2, -2, -2, -2, 1]
     elliptic = suites["positivity-elliptic"]
     assert elliptic["samples"] == 2 * 5**5 and elliptic["witness"]["min_value"] == "0"
+
+
+def test_raising_suite_is_an_error_not_a_crash(monkeypatch, capsys, tmp_path):
+    def raises(cfg, seed):
+        raise EigenFailure("Jacobi sweeps did not converge")
+
+    _, anchor, expected = SUITES["minimizer-no-go"]
+    monkeypatch.setitem(SUITES, "minimizer-no-go", (raises, anchor, expected))
+    rep = run(fast_cfg())
+    suites = {s["name"]: s for s in rep["suites"]}
+    err = suites["minimizer-no-go"]
+    assert err["verdict"] == "error" and err["samples"] == 0
+    assert err["failures"] == [{"error": "EigenFailure: Jacobi sweeps did not converge"}]
+    # the other suites still ran
+    assert [suites[n]["verdict"] for n in ("split-complex-geometry", "quantions")] == ["pass", "pass"]
+    assert rep["verdict"] == "error"
+    assert "overall: **error**" in report_md(rep)
+    out = tmp_path / "r.json"
+    code = main(["verify", "--suite", "minimizer-no-go", "--suite", "split-complex-geometry",
+                 "--report", str(out)])
+    assert code == 3
+    assert json.loads(out.read_text())["verdict"] == "error"
+    assert "EigenFailure" in capsys.readouterr().err
+
+
+def test_hilbert_suite_honours_dim_cap():
+    for dim_cap, dims in ((3, [3]), (8, [4, 8])):
+        rep = run(fast_cfg(suites=["identities-hilbert"], dim_cap=dim_cap, identity_count=2))
+        (suite,) = rep["suites"]
+        assert suite["verdict"] == "pass"
+        assert suite["samples"] == len(dims) * 9 * 2

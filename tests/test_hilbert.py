@@ -1,10 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from compalg.algebra import beta_product, check_all_identities, sample_poly
+from compalg.algebra import beta_product, check_all_identities, check_identity, sample_poly
 from compalg.errors import DimMismatch, NonSymplecticW
 from compalg.hilbert import (
     build_kahler,
@@ -43,20 +44,47 @@ def test_op_shape_checks():
         op_sigma(np.ones((2, 3)), np.ones((2, 3)))
 
 
-@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+def _check_against_oracle(a):
+    dim = a.shape[0]
+    w, v = hermitian_eig(a)
+    scale = max(1.0, float(np.max(np.abs(a))))
+    # residual contract
+    for k in range(dim):
+        assert np.linalg.norm(a @ v[:, k] - w[k] * v[:, k]) <= 1e-11 * scale
+    # orthonormality
+    assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) <= 1e-10
+    # eigenvalue agreement with the library oracle, ascending
+    oracle = np.linalg.eigvalsh(a)
+    assert np.max(np.abs(w - oracle)) <= 1e-10 * scale
+    assert np.array_equal(hermitian_eigenvalues(a), w)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8, 12, 16])
 def test_eigensolver_against_numpy_oracle(dim):
     rng = random.Random(dim)
     for _ in range(5):
-        a = sample_hermitian(rng, dim)
-        w, v = hermitian_eig(a)
-        scale = max(1.0, float(np.max(np.abs(a))))
-        # residual contract
-        for k in range(dim):
-            assert np.linalg.norm(a @ v[:, k] - w[k] * v[:, k]) <= 1e-11 * scale
-        # orthonormality
-        assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) <= 1e-10
-        # eigenvalue agreement with the library oracle
-        assert np.max(np.abs(np.sort(w) - np.sort(np.linalg.eigvalsh(a)))) <= 1e-10 * scale
+        _check_against_oracle(sample_hermitian(rng, dim))
+
+
+def _random_unitary(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+
+
+U6 = _random_unitary(6, 4)
+SPECIAL_MATRICES = {
+    "pauli-y": PAULI_Y,  # purely imaginary off-diagonal
+    "identity-8": np.eye(8, dtype=complex),
+    "one-by-one": np.array([[-2.5 + 0j]]),
+    "diagonal-repeated": np.diag([3.0, -1.0, 3.0, 0.5]).astype(complex),
+    # the degenerate spectrum the real embedding's pair heuristics existed for
+    "degenerate-1-1-1-2-2-3": U6 @ np.diag([1.0, 1, 1, 2, 2, 3]) @ U6.conj().T,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECIAL_MATRICES))
+def test_eigensolver_special_matrices(name):
+    _check_against_oracle(SPECIAL_MATRICES[name])
 
 
 def test_spectral_norm_against_numpy_oracle():
@@ -80,6 +108,19 @@ def test_matrix_carrier_identities():
         for rep in check_all_identities(carrier, count=8, seed=3):
             assert rep.passed, (dim, rep.identity)
             assert rep.max_residual <= 1e-12
+
+
+def test_matrix_carrier_tolerance_scales_with_dimension():
+    # absolute 1e-12 gives false jordan failures at dim 16 (residuals ~2e-12)
+    for rep in check_all_identities(matrix_carrier(16), count=50, seed=0):
+        assert rep.passed, (rep.identity, rep.failures[:1])
+
+
+def test_matrix_carrier_scaled_tolerance_can_fail():
+    good = matrix_carrier(16)
+    bad = dataclasses.replace(good, alpha=lambda x, y: (1 + 1e-9) * good.alpha(x, y))
+    rep = check_identity(bad, "compatibility", count=10, seed=0)
+    assert not rep.passed and rep.max_residual > 1e-10
 
 
 def test_beta_minus_is_matrix_product():
