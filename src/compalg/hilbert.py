@@ -142,18 +142,19 @@ def sample_hermitian(rng: random.Random, dim: int, scale: float = 2.0) -> np.nda
 def matrix_carrier(dim: int, hbar: Fraction = Fraction(2), tol: float = 1e-12) -> Carrier:
     hbar = Fraction(hbar)
     hf = float(hbar)
+    keys = [(i, j) for i in range(dim) for j in range(dim)]
+    eye = np.eye(dim, dtype=complex)
     return Carrier(
         name=f"hilbert-{dim}x{dim}-hbar{hbar}",
         jsquared=-1,
         hbar=hbar,
-        unit=np.eye(dim, dtype=complex),
+        unit=eye,
         add=lambda x, y: x + y,
         scale=lambda x, s: float(s) * x,
         sigma=op_sigma,
         alpha=lambda x, y: op_alpha(x, y, hf),
-        decompose=lambda x: {
-            (i, j): x[i, j] for i in range(dim) for j in range(dim) if x[i, j] != 0
-        },
+        decompose=lambda x: {k: v for k, v in zip(keys, x.ravel().tolist()) if v},
+        basis=lambda k: np.outer(eye[k[0]], eye[k[1]]),
         sample=lambda rng: sample_hermitian(rng, dim),
         tol=tol,
         jscale=lambda x, r: (-1j * float(r)) * x,

@@ -17,6 +17,7 @@ from compalg.algebra import (
     tensor,
 )
 from compalg.errors import ClassMismatch, HBarMismatch, UnexpectedPass
+from compalg.hilbert import matrix_carrier
 from compalg.phasepoly import CLASSES, ELLIPTIC, HYPERBOLIC, PARABOLIC, PhasePoly
 
 HBARS = (Fraction(1, 2), Fraction(2), Fraction(3))
@@ -126,9 +127,61 @@ def test_tensor_decompose_cancellation():
     c = phase_poly_carrier(ELLIPTIC, Fraction(2), 1, 2)
     bip = compose_bipartite(c, c)
     q = PhasePoly.q()
-    t = bip.add(tensor(q, q), tensor(q, q, Fraction(-1)))
+    t = bip.add(tensor(c, c, q, q), bip.scale(tensor(c, c, q, q), Fraction(-1)))
     assert bip.decompose(t) == {}
     assert bip.is_zero(t)
+
+
+def test_basis_inverts_decompose():
+    c = phase_poly_carrier(HYPERBOLIC, Fraction(2), 2, 3)
+    m = matrix_carrier(3)
+    bip = compose_bipartite(c, c)
+    nested = compose_bipartite(bip, c)
+    cases = [
+        (c, (1, 0, 2, 1)),
+        (m, (2, 0)),
+        (bip, ((0, 1, 0, 0), (1, 1, 0, 2))),
+        (nested, (((0, 0, 0, 0), (1, 0, 0, 0)), (0, 0, 0, 3))),
+    ]
+    for carrier, k in cases:
+        assert carrier.decompose(carrier.basis(k)) == {k: 1}, (carrier.name, k)
+    # a composite element is its own canonical dict
+    t = tensor(c, c, PhasePoly.q(1, 2), PhasePoly.p(2, 2))
+    assert bip.decompose(t) is t
+
+
+def _as_dof2(x) -> PhasePoly:
+    """A composite of dof-1 factors as a dof-2 poly: ((q1, p1), (q2, p2)) -> (q1, q2, p1, p2)."""
+    return PhasePoly(2, {(q1, q2, p1, p2): v for ((q1, p1), (q2, p2)), v in x.items()})
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+@pytest.mark.parametrize("hbar", HBARS)
+def test_composition_oracle_is_dof2_carrier(cls, hbar):
+    """For a = 0, star1 (x) star2 is the star product on R^4, so the
+    composite of two dof-1 carriers is the dof-2 carrier."""
+    c1 = phase_poly_carrier(cls, hbar, dof=1, max_degree=3)
+    c2 = phase_poly_carrier(cls, hbar, dof=2)
+    bip = compose_bipartite(c1, c1)
+    rng = random.Random(12)
+    for _ in range(20):
+        x, y = (tensor(c1, c1, c1.sample(rng), c1.sample(rng)) for _ in range(2))
+        for prod in ("sigma", "alpha"):
+            got = _as_dof2(getattr(bip, prod)(x, y))
+            assert got == getattr(c2, prod)(_as_dof2(x), _as_dof2(y)), (prod, x, y)
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_composition_oracle_control_nonzero_a(cls):
+    c1 = phase_poly_carrier(cls, Fraction(2), dof=1, max_degree=3)
+    c2 = phase_poly_carrier(cls, Fraction(2), dof=2)
+    bad = compose_bipartite(c1, c1, extra_a=Fraction(1))
+    rng = random.Random(12)
+    pairs = [
+        tuple(tensor(c1, c1, c1.sample(rng), c1.sample(rng)) for _ in range(2))
+        for _ in range(20)
+    ]
+    assert any(_as_dof2(bad.alpha(x, y)) != c2.alpha(_as_dof2(x), _as_dof2(y)) for x, y in pairs)
 
 
 def test_expected_fail_report_semantics():

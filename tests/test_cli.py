@@ -207,3 +207,22 @@ def test_hilbert_suite_honours_dim_cap():
         (suite,) = rep["suites"]
         assert suite["verdict"] == "pass"
         assert suite["samples"] == len(dims) * 9 * 2
+
+
+def test_falsify_suite_counts_the_sweeps_that_ran(monkeypatch):
+    from compalg import algebra
+    from compalg.errors import UnexpectedPass
+
+    def fake(a, b, extra_a, count, seed):
+        if extra_a == -1:
+            raise UnexpectedPass("no counterexample")
+        failures = [{"sample": 0}] if extra_a else []
+        return algebra.IdentityReport("leibniz-alpha", a.name, 3, failures,
+                                      expected="fail" if extra_a else "pass")
+
+    monkeypatch.setattr(algebra, "falsify_nonzero_a", fake)
+    (suite,) = run(fast_cfg(suites=["falsify-nonzero-a"]))["suites"]
+    # three sweeps report 3 samples each; the raising one ran its full 50
+    assert suite["samples"] == 3 + 50 + 3 + 3
+    assert suite["verdict"] == "fail" and suite["expected"] == "fail"
+    assert suite["witness"] == [{"a": "1", "counterexamples": 1}, {"a": "1/2", "counterexamples": 1}]
