@@ -89,7 +89,8 @@ def schmidt(state: PureState) -> SchmidtForm:
             right[:, k] = right[:, k] * ph
     sf = SchmidtForm(s, u, right)
     err = float(np.max(np.abs(sf.reconstruct() - m)))
-    assert err <= 1e-12, f"reconstruction error {err}"
+    if not err <= 1e-12:
+        raise AssertionError(f"reconstruction error {err}")
     return sf
 
 

@@ -184,9 +184,12 @@ def build_kahler(n: int) -> KahlerTriple:
     J = np.block([[zero, -one], [one, zero]])
     Omega = np.block([[zero, one], [-one, zero]])
     g = np.eye(2 * n, dtype=np.int64)
-    assert np.array_equal(Omega @ J, g)
-    assert np.array_equal(J.T @ g, Omega)
-    assert np.array_equal(J @ J, -np.eye(2 * n, dtype=np.int64))
+    if not np.array_equal(Omega @ J, g):
+        raise AssertionError("Omega J != g")
+    if not np.array_equal(J.T @ g, Omega):
+        raise AssertionError("J^T g != Omega")
+    if not np.array_equal(J @ J, -np.eye(2 * n, dtype=np.int64)):
+        raise AssertionError("J^2 != -1")
     return KahlerTriple(n, J, Omega, g)
 
 

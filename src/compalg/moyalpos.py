@@ -2,14 +2,13 @@
 
 States are Gaussian-weighted polynomials, integrated exactly via Gaussian
 moments with pi carried as a formal power.  Star products keep one
-polynomial factor so every series terminates; they expand over the same
-``phasepoly.contractions`` engine as the polynomial products, with the
-Gaussian-weighted factor on the left.  The functional <g* star g> is
-then an exact rational (or split-complex) number, which makes the
-elliptic/hyperbolic positivity split decidable, not numeric.  It is
-sesquilinear in the coefficients of g, so the lattice sweeps read it off
-one exact 3x3 Gram matrix over {1, q, p} per state instead of expanding a
-star product at every lattice point.
+polynomial factor so every series terminates; they are summed by the same
+``phasepoly.series`` as the polynomial products, with the Gaussian-weighted
+factor on the left.  The functional <g* star g> is then an exact rational
+(or split-complex) number, which makes the elliptic/hyperbolic positivity
+split decidable, not numeric.  It is sesquilinear in the coefficients of g,
+so the lattice sweeps read it off one exact 3x3 Gram matrix over {1, q, p}
+per state instead of expanding a star product at every lattice point.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .phasepoly import (
     HYPERBOLIC,
     J_UNIT,
     PhasePoly,
-    contractions,
+    series,
     star,
 )
 from .scalars import J_SPLIT
@@ -76,6 +75,8 @@ class GaussPoly:
     def mul_poly(self, g: PhasePoly) -> "GaussPoly":
         return GaussPoly(self.s, self.poly * g, self.pi_exp)
 
+    __mul__ = mul_poly
+
     def mul_gauss(self, other: "GaussPoly") -> "GaussPoly":
         """Envelopes multiply: widths combine harmonically."""
         s = 1 / (1 / self.s + 1 / other.s)
@@ -91,6 +92,8 @@ class GaussPoly:
         if self.s != other.s or self.pi_exp != other.pi_exp:
             raise ValueError("mismatched envelope or pi power")
         return GaussPoly(self.s, self.poly + other.poly, self.pi_exp)
+
+    __add__ = add
 
 
 def _double_factorial_odd(m: int) -> int:
@@ -151,7 +154,8 @@ def fock_wigner(m: int, hbar: Fraction = Fraction(2)) -> GaussPoly:
     sign = Fraction(-1) ** m
     gp = GaussPoly(hbar, lag.scale(sign / hbar), pi_exp=-1)
     val, pexp = integrate(gp)
-    assert (val, pexp) == (1, 0), "normalization failed"
+    if (val, pexp) != (1, 0):
+        raise AssertionError("normalization failed")
     return gp
 
 
@@ -164,11 +168,11 @@ def star_gp(
 ) -> GaussPoly:
     """F star g (side="left") or g star F (side="right") as a finite sum.
 
-    The associative product expands as sum_k (J hbar/2)^k / k! nabla^k over
-    the shared ``contractions`` engine; swapping the factors flips the sign
-    of every contraction, so g star F uses (-J hbar/2)^k.  The series
-    terminates at k = deg g because each contraction spends one derivative
-    on the polynomial factor.
+    The associative product is ``phasepoly.series`` with the weights
+    (J hbar/2)^k / k!; swapping the factors flips the sign of every
+    contraction, so g star F uses (-J hbar/2)^k.  The series terminates at
+    k = deg g because each contraction spends one derivative on the
+    polynomial factor.
     """
     if cls not in (ELLIPTIC, HYPERBOLIC):
         raise ValueError("class must be elliptic or hyperbolic")
@@ -176,14 +180,8 @@ def star_gp(
         raise ValueError("side must be 'left' or 'right'")
     h2 = Fraction(hbar) / 2
     jh2 = J_UNIT[cls] * (h2 if side == "left" else -h2)
-    out = GaussPoly(F.s, PhasePoly(F.dof), F.pi_exp)
-    for k in range(0, g.degree + 1):
-        term = GaussPoly(F.s, PhasePoly(F.dof), F.pi_exp)
-        for a, b, c in contractions(F, g, k):
-            term = term.add(a.mul_poly(b).scale(c))
-        # a rational 1 at k = 0 keeps the plain product's coefficients rational
-        out = out.add(term.scale(jh2**k / factorial(k) if k else 1))
-    return out
+    # a rational 1 at k = 0 keeps the plain product's coefficients rational
+    return series(F, g, [jh2**k / factorial(k) if k else 1 for k in range(g.degree + 1)])
 
 
 def _real_part(v):

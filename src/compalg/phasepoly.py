@@ -5,8 +5,10 @@ the exact scalar rings from :mod:`compalg.scalars` (or plain Fractions);
 every bracket and star-product series terminates on polynomials, so all
 identities here are decidable by structural equality.
 
-One bidifferential engine serves every product: ``contractions`` expands
-f (<->nabla)^k g into signed derivative pairs, and the three classes differ
+One bidifferential engine serves every product: ``contractions`` walks the
+levels k = 0, 1, 2, ... of f (<->nabla)^k g as merged signed derivative
+pairs, each level built once from the one before, and ``series`` sums
+sum_k w_k f (<->nabla)^k g for given weights.  The three classes differ
 only in J^2 (-1, 0, +1) inside the one series sum_k (J hbar/2)^k/k! nabla^k,
 whose even half is ``sigma`` and whose odd half (J factored out) is ``alpha``.
 """
@@ -14,7 +16,7 @@ whose even half is ``sigma`` and whose odd half (J factored out) is ``alpha``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .errors import DofMismatch
 from .scalars import EPS_DUAL, I_COMPLEX, J_SPLIT
@@ -187,44 +189,67 @@ def _to_complex(c) -> complex:
     return complex(float(c.re), float(c.im))
 
 
-def contractions(f, g: PhasePoly, k: int):
-    """Signed derivative pairs (a, b, c) with f (<->nabla)^k g = sum c * a b.
+def contractions(f, g: PhasePoly):
+    """Levels k = 0, 1, 2, ... of f (<->nabla)^k g, as lists of pairs.
 
-    One contraction applies sum_i (d_qi (x) d_pi - d_pi (x) d_qi) between
-    the left and right factor; k = 0 yields the pair (f, g, 1).  Only
-    ``deriv``, truthiness and ``g.dof`` are used, so the left factor may be
-    anything that differentiates (moyalpos puts a Gaussian-weighted
-    polynomial there).  The left factor is differentiated only where the
-    right one's derivative survives, and vanishing pairs are dropped.
+    One contraction applies sum_i (d_qi (x) d_pi - d_pi (x) d_qi), so level
+    k is sum c * a b over one pair per multi-index m of size k: a = d^m f,
+    b takes the same derivatives of g with q and p swapped, and the integer
+    c = k!/m! (-1)^(p-part of m) counts the orderings.  A pair is reached
+    once, along the ascending axis sequence of m, and carries its last axis
+    and that axis's count as two more entries.  So each derivative is taken
+    once (the right one first), a vanishing pair has no successors, and the
+    walk ends at the first empty level.  The left factor only needs
+    ``deriv``, truthiness and ``*``; moyalpos puts a Gaussian-weighted
+    polynomial there.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if k == 0:
-        yield f, g, 1
-        return
     n = g.dof
-    for a, b, c in contractions(f, g, k - 1):
-        for i in range(n):
-            for a_axis, b_axis, sign in ((i, n + i, c), (n + i, i, -c)):
-                db = b.deriv(b_axis)
-                if db:
-                    da = a.deriv(a_axis)
-                    if da:
-                        yield da, db, sign
+    level, k = [(f, g, 1, 0, 0)], 0
+    while level:
+        yield level
+        k += 1
+        nxt = []
+        for a, b, c, last, run in level:
+            for axis in range(last, 2 * n):
+                db = b.deriv(axis + n if axis < n else axis - n)
+                da = a.deriv(axis) if db else None
+                if da:
+                    # k!/m! from (k-1)!/m'!: m's count on this axis is r
+                    r = run + 1 if axis == last else 1
+                    sign = 1 if axis < n else -1
+                    nxt.append((da, db, sign * c * k // r, axis, r))
+        level = nxt
+
+
+def series(f, g: PhasePoly, weights):
+    """sum_k weights[k] f (<->nabla)^k g over the levels of ``contractions``.
+
+    Level k is built only when ``weights`` has an entry k.  Each pair adds
+    a * (w c b): the weight scales the right factor's few terms, not the
+    product.
+    """
+    if f.dof != g.dof:
+        raise DofMismatch(f"dof {f.dof} vs {g.dof}")
+    total = None
+    for w, level in zip(weights, contractions(f, g)):
+        if not w:
+            continue
+        for a, b, c, _, _ in level:
+            term = a * b.scale(w * c)
+            total = term if total is None else total + term
+    return f * PhasePoly(g.dof) if total is None else total
 
 
 def nabla_power(f: PhasePoly, g: PhasePoly, k: int) -> PhasePoly:
     """k-fold bidifferential power f (<->nabla)^k g, expanded exactly."""
-    f._check(g)
-    total = PhasePoly(f.dof)
-    for a, b, c in contractions(f, g, k):
-        total = total + (a * b).scale(c)
-    return total
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    return series(f, g, [0] * k + [1])
 
 
 def poisson(f: PhasePoly, g: PhasePoly) -> PhasePoly:
     """Canonical bracket: single bidifferential contraction."""
-    return nabla_power(f, g, 1)
+    return series(f, g, [0, 1])
 
 
 def _series(f: PhasePoly, g: PhasePoly, cls: str, hbar: Fraction, parity: int) -> PhasePoly:
@@ -233,17 +258,16 @@ def _series(f: PhasePoly, g: PhasePoly, cls: str, hbar: Fraction, parity: int) -
     J^parity is factored out, so the k-th coefficient is
     s^(k//2) (hbar/2)^(k - parity) / k! with s = J^2.  Once it is zero
     (k >= 2 when J^2 = 0, or hbar = 0) it stays zero, and nabla^k vanishes
-    once k exceeds either factor's degree; either ends the sum.
+    once k exceeds either factor's degree; either ends the weights.
     """
-    f._check(g)
     s, h2 = J_SQUARED[cls], Fraction(hbar) / 2
-    total = PhasePoly(f.dof)
+    weights = []
     for k in range(parity, min(f.degree, g.degree) + 1, 2):
         c = s ** (k // 2) * h2 ** (k - parity) / factorial(k)
         if not c:
             break
-        total = total + nabla_power(f, g, k).scale(c)
-    return total
+        weights += [0] * (k - len(weights)) + [c]
+    return series(f, g, weights)
 
 
 def alpha(f: PhasePoly, g: PhasePoly, cls: str, hbar: Fraction = DEFAULT_HBAR) -> PhasePoly:
@@ -263,10 +287,17 @@ def star(f: PhasePoly, g: PhasePoly, cls: str, hbar: Fraction = DEFAULT_HBAR) ->
 
 
 def hbar_zero_limit(f: PhasePoly, g: PhasePoly) -> PhasePoly:
-    """Elliptic skew product alpha(f, g, ELLIPTIC, 0), summed by the same series.
+    """Elliptic skew product extrapolated to hbar = 0 from hbar = 1..m.
 
-    The k-th term carries hbar^(k-1), so at hbar = 0 only k = 1 survives
-    and the result should be the canonical bracket; callers compare it
-    with ``poisson``.
+    Its k-th term carries hbar^(k-1) with k <= m = max(1, min(deg f, deg g)),
+    so alpha is a polynomial in hbar of degree below m, its m-th finite
+    difference vanishes, and its value at 0 is exactly
+    sum_{j=1..m} (-1)^(j-1) C(m, j) alpha(f, g, ELLIPTIC, j).  That should
+    be the canonical bracket; callers compare it with ``poisson``.
     """
-    return _series(f, g, ELLIPTIC, Fraction(0), 1)
+    m = max(1, min(f.degree, g.degree))
+    total = PhasePoly(g.dof)
+    for j in range(1, m + 1):
+        weight = (-1) ** (j - 1) * comb(m, j)
+        total = total + _series(f, g, ELLIPTIC, Fraction(j), 1).scale(weight)
+    return total

@@ -89,7 +89,8 @@ def zero_divisor_witness() -> tuple:
     x = Quantion(1, 0, 0, 0)
     y = Quantion(0, 0, 0, 1)
     prod = q_mul(x, y)
-    assert prod == Q_ZERO and x != Q_ZERO and y != Q_ZERO
+    if not (prod == Q_ZERO and x != Q_ZERO and y != Q_ZERO):
+        raise AssertionError("not a pair of nonzero zero divisors")
     return x, y
 
 
@@ -144,7 +145,8 @@ def anorm(q: Quantion) -> FourVector:
 def mnorm(q: Quantion):
     """Metric norm Q#Q = det(q) I; returns the determinant."""
     m = q_mul(q_sharp(q), q)
-    assert m.b == 0 and m.c == 0 and m.a == m.d
+    if not (m.b == 0 and m.c == 0 and m.a == m.d):
+        raise AssertionError("Q#Q is not a multiple of the identity")
     return m.a
 
 

@@ -209,12 +209,8 @@ def hyperbolic_polar(z: SplitComplex) -> PolarBranch:
         return PolarBranch(branch, 0.0, 0.0)
     x, y = float(z.re), float(z.im)
     rho = math.sqrt(abs(x * x - y * y))
-    if branch is Branch.POS_REAL:
+    if branch in (Branch.POS_REAL, Branch.NEG_REAL):
         theta = math.atanh(y / x)
-    elif branch is Branch.NEG_REAL:
-        theta = math.atanh(y / x)
-    elif branch is Branch.POS_IMAG:
-        theta = math.atanh(x / y)
     else:
         theta = math.atanh(x / y)
     return PolarBranch(branch, rho, theta)
@@ -345,11 +341,15 @@ def revalidate_witness(w: MinimizerWitness, lattice: int = 101) -> None:
     lo, hi = w.segment
     dy = w.distance_square(Fraction(0))
     dy0 = vec2_para_square((w.y0[0] - w.point[0], w.y0[1] - w.point[1]))
-    assert dy == dy0, "the two claimed minimizers are not equidistant"
+    if dy != dy0:
+        raise AssertionError("the two claimed minimizers are not equidistant")
     for k in range(lattice):
         t = lo + (hi - lo) * Fraction(k, lattice - 1)
-        assert w.distance_square(t) == dy, "segment is not uniformly minimal"
+        if w.distance_square(t) != dy:
+            raise AssertionError("segment is not uniformly minimal")
     diff = (w.y[0] - w.y0[0], w.y[1] - w.y0[1])
     n = vec2_para_square(diff)
-    assert _sign(n) * abs(n) <= 0, "separation of minimizers is not null"
-    assert w.y != w.y0
+    if _sign(n) * abs(n) > 0:
+        raise AssertionError("separation of minimizers is not null")
+    if w.y == w.y0:
+        raise AssertionError("the two claimed minimizers coincide")

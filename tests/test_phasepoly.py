@@ -1,18 +1,23 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 import sympy as sp
 
+from compalg import phasepoly
 from compalg.algebra import sample_poly
+from compalg.cli import SuiteConfig, run
 from compalg.errors import DofMismatch
 from compalg.phasepoly import (
     DEFAULT_HBAR,
     ELLIPTIC,
     HYPERBOLIC,
+    J_SQUARED,
     PARABOLIC,
     PhasePoly,
     alpha,
+    contractions,
     hbar_zero_limit,
     nabla_power,
     poisson,
@@ -62,6 +67,57 @@ def test_nabla_power_against_sympy(dof):
                     for fb, gb, sb in steps_j:
                         expect2 += sa * sb * sp.diff(fe, fa, fb) * sp.diff(ge, ga, gb)
         assert to_sympy(nabla_power(f, g, 2), syms) == sp.expand(expect2)
+
+
+def _contractions_slow(f, g, k):
+    """The recursive enumerator the level walk replaced: one pair per ordering
+    of the k contractions, every level below k derived afresh."""
+    if k == 0:
+        yield f, g, 1
+        return
+    n = g.dof
+    for a, b, c in _contractions_slow(f, g, k - 1):
+        for i in range(n):
+            for a_axis, b_axis, sign in ((i, n + i, c), (n + i, i, -c)):
+                db = b.deriv(b_axis)
+                if db:
+                    da = a.deriv(a_axis)
+                    if da:
+                        yield da, db, sign
+
+
+@pytest.mark.parametrize("dof", [1, 2])
+def test_nabla_power_matches_slow_path(dof):
+    rng = random.Random(11)
+    for _ in range(30):
+        f = sample_poly(rng, dof, 4)
+        g = sample_poly(rng, dof, 4)
+        for k in range(6):
+            slow = PhasePoly(dof)
+            for a, b, c in _contractions_slow(f, g, k):
+                slow = slow + (a * b).scale(c)
+            assert nabla_power(f, g, k) == slow
+
+
+def test_nabla_power_takes_each_derivative_once(monkeypatch):
+    x = PhasePoly.q(1, 2) + PhasePoly.q(2, 2) + PhasePoly.p(1, 2) + PhasePoly.p(2, 2)
+    x4 = x * x * x * x
+    calls = []
+    deriv = PhasePoly.deriv
+
+    def counted(self, axis):
+        calls.append(axis)
+        return deriv(self, axis)
+
+    monkeypatch.setattr(PhasePoly, "deriv", counted)
+    nabla_power(x4, x4, 4)
+    # one left and one right derivative per multi-index of size 1..4 in four
+    # variables: 2 * (4 + 10 + 20 + 35); one pair per ordering takes 680
+    assert len(calls) == 138
+    # one pair per multi-index, whose |c| = k!/m! sums to all 4^k orderings
+    levels = list(contractions(x4, x4))
+    assert [len(level) for level in levels] == [1, 4, 10, 20, 35]
+    assert [sum(abs(c) for _, _, c, _, _ in level) for level in levels] == [4**k for k in range(5)]
 
 
 def test_frozen_derived_values():
@@ -133,6 +189,46 @@ def test_hbar_zero_limit_is_poisson():
     f, g = q * q * q, p * p * p
     assert alpha(f, g, ELLIPTIC, Fraction(2)) != poisson(f, g)
     assert hbar_zero_limit(f, g) == poisson(f, g)
+
+
+_right_series = phasepoly._series
+
+
+def _times_half_hbar(f, g, cls, hbar, parity):
+    # every term carries one extra power of hbar
+    return _right_series(f, g, cls, hbar, parity).scale(Fraction(hbar) / 2)
+
+
+def _high_terms_squared_hbar(f, g, cls, hbar, parity):
+    # odd half whose k >= 3 terms carry (hbar/2)^(2k-2) instead of
+    # (hbar/2)^(k-1); all of them vanish at hbar = 0
+    out, h2 = nabla_power(f, g, 1), Fraction(hbar) / 2
+    for k in range(3, min(f.degree, g.degree) + 1, 2):
+        c = J_SQUARED[cls] ** (k // 2) * h2 ** (2 * k - 2) / factorial(k)
+        out = out + nabla_power(f, g, k).scale(c)
+    return out
+
+
+WRONG_HBAR_POWERS = [_times_half_hbar, _high_terms_squared_hbar]
+
+
+@pytest.mark.parametrize("wrong", WRONG_HBAR_POWERS)
+def test_hbar_zero_limit_fails_on_wrong_hbar_power(monkeypatch, wrong):
+    monkeypatch.setattr(phasepoly, "_series", wrong)
+    rng = random.Random(8)
+    pairs = [(sample_poly(rng, 2, 4), sample_poly(rng, 2, 4)) for _ in range(50)]
+    assert any(hbar_zero_limit(f, g) != poisson(f, g) for f, g in pairs)
+    q, p = PhasePoly.q(), PhasePoly.p()
+    assert hbar_zero_limit(q * q * q, p * p * p) != poisson(q * q * q, p * p * p)
+
+
+@pytest.mark.parametrize("wrong", WRONG_HBAR_POWERS)
+def test_deformation_suite_fails_on_wrong_hbar_power(monkeypatch, wrong):
+    cfg = SuiteConfig(suites=["deformation-limit"], pair_count=20)
+    assert run(cfg)["suites"][0]["verdict"] == "pass"
+    monkeypatch.setattr(phasepoly, "_series", wrong)
+    (suite,) = run(cfg)["suites"]
+    assert suite["verdict"] == "fail" and suite["failures"]
 
 
 def test_parabolic_products_are_product_and_bracket():

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +171,26 @@ def test_minimizer_witness():
     diff = (w.y[0] - w.y0[0], w.y[1] - w.y0[1])
     assert vec2_para_square(diff) == 0  # separation along the null cone
     revalidate_witness(w, lattice=257)
+
+
+def test_doctored_witness_is_refused_under_python_O():
+    # y0 = (2, 0) is not on the segment and not equidistant with y
+    code = (
+        "from dataclasses import replace\n"
+        "from compalg.scalars import SplitComplex, minimizer_nonuniqueness_witness, "
+        "revalidate_witness\n"
+        "w = minimizer_nonuniqueness_witness()\n"
+        "bad = replace(w, y0=(SplitComplex(2, 0), SplitComplex(0, 0)))\n"
+        "try:\n"
+        "    revalidate_witness(bad)\n"
+        "except AssertionError:\n"
+        "    print('refused')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.strip() == "refused"
 
 
 def test_euclidean_analogue_is_unique():

@@ -1,5 +1,7 @@
-"""Rules on the package source: one eigensolver path, sympy only in tests."""
+"""Rules on the package source: one eigensolver path, sympy only in tests,
+and no ``assert`` statements, which ``python -O`` strips."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -25,4 +27,18 @@ def test_package_uses_own_eigensolver_and_no_sympy():
     files = sorted(SRC.rglob("*.py"))
     assert files
     found = {f.name: v for f in files if (v := _violations(f.read_text()))}
+    assert found == {}
+
+
+def _asserts(text):
+    return [node.lineno for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Assert)]
+
+
+def test_assert_rule_catches_an_assert():
+    assert _asserts("def f(x):\n    assert x > 0, 'x'\n    return x\n") == [2]
+    assert not _asserts("if not x > 0:\n    raise AssertionError('x')\n")
+
+
+def test_package_checks_survive_python_O():
+    found = {f.name: v for f in sorted(SRC.rglob("*.py")) if (v := _asserts(f.read_text()))}
     assert found == {}
