@@ -334,15 +334,27 @@ def compose_bipartite(a: Carrier, b: Carrier, extra_a: Fraction = Fraction(0)) -
         def run(x, y):
             dx, x = _over_lcm(x)
             dy, y = _over_lcm(y)
+            # each factor expansion this call needs, fetched once per distinct key pair
+            xl, xr = dict.fromkeys(k[0] for k in x), dict.fromkeys(k[1] for k in x)
+            yl, yr = dict.fromkeys(k[0] for k in y), dict.fromkeys(k[1] for k in y)
+            rkeys = [(r1, r2) for r1 in xr for r2 in yr]
+            lkeys = [(l1, l2) for l1 in xl for l2 in yl]
+            terms = []
+            for pa, pb, nw, dw in law:
+                rt = {k: e for k in rkeys if (e := right(pb, *k))[1]}
+                if rt:
+                    terms.append((nw, dw, {k: left(pa, *k) for k in lkeys}, rt))
             parts = {}  # denominator dw*dl*dr -> {key: integer numerator}
             for (l1, r1), n1 in x.items():
                 for (l2, r2), n2 in y.items():
                     n12 = n1 * n2
-                    for pa, pb, nw, dw in law:
-                        dr, nr = right(pb, r1, r2)
-                        if not nr:
+                    lk, rk = (l1, l2), (r1, r2)
+                    for nw, dw, lt, rt in terms:
+                        e = rt.get(rk)
+                        if e is None:
                             continue
-                        dl, nl = left(pa, l1, l2)
+                        dr, nr = e
+                        dl, nl = lt[lk]
                         acc = parts.setdefault(dw * dl * dr, {})
                         nn = nw * n12
                         for kl, cl in nl.items():

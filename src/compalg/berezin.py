@@ -1,10 +1,13 @@
-"""Coherent-state quantization on the plane by quadrature.
+"""Coherent-state (Berezin) quantization on the plane by quadrature.
 
-The coherent wavefunction is expanded in a truncated oscillator basis by
-Gauss-Hermite quadrature (cross-checked against the closed-form Poisson
-weights), and the quantization integral is done on a Gauss-Legendre
-product grid.  Only the first N/2 levels of the resulting matrices are
-trusted; truncation error concentrates in the top half.
+A coherent state is expanded in a truncated oscillator basis by
+Gauss-Hermite quadrature, cross-checked against the closed-form Poisson
+weights.  Over a Gauss-Legendre product grid in (q, p) the expansions form
+one coefficient tensor C[n, iq, ip], built from a single Gauss-Hermite rule
+and a single q-independent phase table, and the quantization integral is
+one contraction of that tensor against f on the grid.  Only the first N/2
+levels of the resulting matrices are trusted; truncation error
+concentrates in the top half.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .errors import DegreeExceedsGrid, QuadratureDivergence
 from .hilbert import hermitian_eigenvalues, spectral_norm
-from .phasepoly import PhasePoly
+from .phasepoly import PhasePoly, _to_complex
 
 
 @dataclass(frozen=True)
@@ -38,10 +41,11 @@ class CoherentState:
 def _reduced_hermite_rows(x: np.ndarray, n_levels: int, hbar: float) -> np.ndarray:
     """Oscillator eigenfunctions with the Gaussian envelope stripped.
 
-    Row n is psi_n(x) * exp(+x^2 / 2 hbar); the recurrence is the standard
-    one, the envelope cancels against quadrature weights downstream.
+    Row n is psi_n(x) * exp(+x^2 / 2 hbar) over an array x of any shape; the
+    recurrence is the standard one, the envelope cancels against quadrature
+    weights downstream.
     """
-    rows = np.empty((n_levels, len(x)), dtype=float)
+    rows = np.empty((n_levels, *x.shape), dtype=float)
     rows[0] = (pi * hbar) ** -0.25
     if n_levels > 1:
         rows[1] = sqrt(2.0) * (x / sqrt(hbar)) * rows[0]
@@ -52,24 +56,30 @@ def _reduced_hermite_rows(x: np.ndarray, n_levels: int, hbar: float) -> np.ndarr
     return rows
 
 
-def _reduced_coherent(x: np.ndarray, p: float, q: float, hbar: float) -> np.ndarray:
-    """Coherent wavefunction with its own Gaussian envelope stripped.
+def _coeff_tensor(qs: np.ndarray, ps: np.ndarray, hbar: float, N: int, nodes: int) -> np.ndarray:
+    """C[n, iq, ip] = <n|state(ps[ip], qs[iq])> from one Gauss-Hermite rule.
 
-    The full wavefunction is (pi hbar)^(-1/4) e^{-ipq/2h} e^{ipx/h}
-    e^{-(x-q)^2/2h}; the last factor is restored analytically inside the
-    quadrature below.
+    The state is (pi hbar)^(-1/4) e^{-ipq/2h} e^{ipx/h} e^{-(x-q)^2/2h}.
+    Against psi_n's envelope the Gaussians complete to one square:
+    -x^2/2h - (x-q)^2/2h = -(x - q/2)^2/h - q^2/4h, so x = q/2 + t sqrt(h/2)
+    and the hermegauss weights carry e^{-t^2/2}.  The q/2 part of the plane
+    wave cancels e^{-ipq/2h} exactly, which leaves the phase table
+    E = e^{ipt sqrt(h/2)/h} independent of q: the whole tensor is the one
+    matrix product (psi w) E^T, scaled by amp(q).
     """
-    return (pi * hbar) ** -0.25 * np.exp(-1j * p * q / (2 * hbar)) * np.exp(
-        1j * p * x / hbar
-    )
+    t, w = np.polynomial.hermite_e.hermegauss(nodes)
+    s = sqrt(hbar / 2.0)
+    psi = _reduced_hermite_rows(qs[:, np.newaxis] / 2.0 + t * s, N, hbar)  # (N, nq, nodes)
+    E = np.exp(1j * (s / hbar) * np.outer(ps, t))  # (np, nodes)
+    amp = (pi * hbar) ** -0.25 * s * np.exp(-qs * qs / (4.0 * hbar))
+    return ((psi * w) @ E.T) * amp[:, np.newaxis]
 
 
 def coherent_coeffs(p: float, q: float, hbar: float, N: int, nodes: int = 0) -> CoherentState:
     """Oscillator-basis coefficients <n|state> by Gauss-Hermite quadrature.
 
-    The integrand's combined Gaussian is completed to a single square
-    centred at q/2, so the quadrature sees only polynomial-times-plane-wave
-    factors.  Node count defaults to 4N + 40.
+    The 1 x 1 case of the quantization's coefficient tensor, checked
+    against the closed-form Poisson weights.  Node count defaults to 4N + 40.
     """
     if N < 4:
         raise ValueError("N must be at least 4")
@@ -78,15 +88,8 @@ def coherent_coeffs(p: float, q: float, hbar: float, N: int, nodes: int = 0) -> 
     nodes = nodes or 4 * N + 40
     if nodes < 2 * N:
         raise QuadratureDivergence(f"{nodes} nodes cannot resolve {N} levels")
-    t, w = np.polynomial.hermite_e.hermegauss(nodes)
-    # -x^2/2h - (x-q)^2/2h = -(x - q/2)^2/h - q^2/4h; substitute x = q/2 + t sqrt(h/2)
-    x = q / 2.0 + t * sqrt(hbar / 2.0)
-    psi = _reduced_hermite_rows(x, N, hbar)
-    phi = _reduced_coherent(x, p, q, hbar)
-    # hermegauss weights already carry the e^{-t^2/2} completed square
-    prefac = sqrt(hbar / 2.0) * np.exp(-q * q / (4.0 * hbar))
-    coeffs = prefac * (psi * (w * phi)) @ np.ones(nodes)
-    state = CoherentState(p, q, hbar, coeffs)
+    coeffs = _coeff_tensor(np.array([q], dtype=float), np.array([p], dtype=float), hbar, N, nodes)
+    state = CoherentState(p, q, hbar, coeffs[:, 0, 0])
     _cross_check_poisson(state)
     return state
 
@@ -154,9 +157,10 @@ def build_grid(hbar: float, N: int, max_poly_degree: int, nodes_1d: int = 0) -> 
 def berezin_quantize(f: PhasePoly, hbar: float, N: int, grid: QuadratureGrid) -> np.ndarray:
     """Quadrature form of the rank-one integral  int dp dq / 2 pi hbar  f |s><s|.
 
-    Coefficient vectors for the whole grid come from one vectorized
-    Gauss-Hermite pass per q-node; the N x N output is Hermitian for
-    real f up to quadrature noise.
+    One coefficient tensor C[n, iq, ip] holds the coherent states of the
+    whole grid (one Gauss-Hermite rule, one phase table), and f is taken on
+    the grid term by term; the N x N output is Hermitian for real f up to
+    quadrature noise.
     """
     if f.dof != 1:
         raise ValueError("quantization is implemented for one degree of freedom")
@@ -164,34 +168,13 @@ def berezin_quantize(f: PhasePoly, hbar: float, N: int, grid: QuadratureGrid) ->
         raise DegreeExceedsGrid(f"degree {f.degree} > grid cap {grid.exact_degree}")
     if N < f.degree + 4:
         raise ValueError("N must be at least deg f + 4")
-    nq, npp = len(grid.qs), len(grid.ps)
     # f on the grid, with q along axis 0
-    fv = np.array(
-        [[f.eval_float((qv, pv)) for pv in grid.ps] for qv in grid.qs]
-    )
-    # coefficient tensor C[n, iq, ip]
-    C = np.empty((N, nq, npp), dtype=complex)
-    for iq, qv in enumerate(grid.qs):
-        C[:, iq, :] = _coeff_block(qv, grid.ps, hbar, N)
+    fv = np.zeros((len(grid.qs), len(grid.ps)), dtype=complex)
+    for (a, b), c in f.terms.items():
+        fv += _to_complex(c) * np.outer(grid.qs**a, grid.ps**b)
+    C = _coeff_tensor(grid.qs, grid.ps, hbar, N, 4 * N + 40)
     kern = grid.weights * fv / (2.0 * pi * hbar)
     return np.einsum("mij,ij,nij->mn", C, kern, np.conj(C), optimize=True)
-
-
-def _coeff_block(qv: float, ps: np.ndarray, hbar: float, N: int) -> np.ndarray:
-    """<n|state(p, qv)> for all p at once, same quadrature as coherent_coeffs."""
-    nodes = 4 * N + 40
-    t, w = np.polynomial.hermite_e.hermegauss(nodes)
-    x = qv / 2.0 + t * sqrt(hbar / 2.0)
-    psi = _reduced_hermite_rows(x, N, hbar)  # (N, nodes)
-    phase = np.exp(1j * np.outer(ps, x) / hbar)  # (np, nodes)
-    pref = (
-        (pi * hbar) ** -0.25
-        * sqrt(hbar / 2.0)
-        * np.exp(-qv * qv / (4.0 * hbar))
-        * np.exp(-1j * ps * qv / (2.0 * hbar))
-    )
-    base = (psi * w) @ phase.T  # (N, np)
-    return base * pref[np.newaxis, :]
 
 
 def trusted(m: np.ndarray) -> np.ndarray:

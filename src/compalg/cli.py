@@ -270,11 +270,12 @@ def _suite_split_geometry(cfg: SuiteConfig, seed: int):
 def _suite_minimizer(cfg: SuiteConfig, seed: int):
     try:
         w = minimizer_nonuniqueness_witness()
+        checked = revalidate_witness(w)
         extra = {
             "segment": [str(w.segment[0]), str(w.segment[1])],
             "distance_square": str(w.distance_square(Fraction(0))),
         }
-        return _result("minimizer-no-go", True, 101, extra=extra)
+        return _result("minimizer-no-go", True, checked, extra=extra)
     except AssertionError as e:
         return _result("minimizer-no-go", False, 0, [{"error": str(e)}])
 

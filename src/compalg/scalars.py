@@ -336,8 +336,11 @@ def minimizer_nonuniqueness_witness() -> MinimizerWitness:
     return w
 
 
-def revalidate_witness(w: MinimizerWitness, lattice: int = 101) -> None:
-    """Brute-force re-check of the witness over a fine lattice on M."""
+def revalidate_witness(w: MinimizerWitness, lattice: int = 101) -> int:
+    """Brute-force re-check of the witness over a fine lattice on M.
+
+    Returns the number of lattice points checked.
+    """
     lo, hi = w.segment
     dy = w.distance_square(Fraction(0))
     dy0 = vec2_para_square((w.y0[0] - w.point[0], w.y0[1] - w.point[1]))
@@ -353,3 +356,4 @@ def revalidate_witness(w: MinimizerWitness, lattice: int = 101) -> None:
         raise AssertionError("separation of minimizers is not null")
     if w.y == w.y0:
         raise AssertionError("the two claimed minimizers coincide")
+    return lattice

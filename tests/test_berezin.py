@@ -1,10 +1,12 @@
 from fractions import Fraction
-from math import sqrt
+from math import pi, sqrt
 
 import numpy as np
 import pytest
 
 from compalg.berezin import (
+    _coeff_tensor,
+    _reduced_hermite_rows,
     berezin_quantize,
     build_grid,
     coherent_coeffs,
@@ -126,3 +128,91 @@ def test_canonical_correspondence():
     br = op_alpha(mq, mp, h)
     k = mq.shape[0] - 1  # drop the truncation edge row/column
     assert np.max(np.abs(br[:k, :k] - np.eye(k))) < 1e-5
+
+
+# -- the per-q-node path, kept as the reference for the coefficient tensor ---
+
+def _reference_coeff_block(qv, ps, hbar, N):
+    """<n|state(p, qv)> for all p: a Gauss-Hermite rule and a phase table per q-node."""
+    nodes = 4 * N + 40
+    t, w = np.polynomial.hermite_e.hermegauss(nodes)
+    x = qv / 2.0 + t * sqrt(hbar / 2.0)
+    psi = _reduced_hermite_rows(x, N, hbar)  # (N, nodes)
+    phase = np.exp(1j * np.outer(ps, x) / hbar)  # (np, nodes)
+    pref = (
+        (pi * hbar) ** -0.25
+        * sqrt(hbar / 2.0)
+        * np.exp(-qv * qv / (4.0 * hbar))
+        * np.exp(-1j * ps * qv / (2.0 * hbar))
+    )
+    return ((psi * w) @ phase.T) * pref[np.newaxis, :]
+
+
+def _reference_quantize(fs, hbar, N, grid):
+    """The per-q-node berezin_quantize, for each f in fs over one shared tensor.
+
+    f is evaluated on the grid point by point through eval_float.
+    """
+    C = np.empty((N, len(grid.qs), len(grid.ps)), dtype=complex)
+    for iq, qv in enumerate(grid.qs):
+        C[:, iq, :] = _reference_coeff_block(qv, grid.ps, hbar, N)
+    out = []
+    for f in fs:
+        fv = np.array([[f.eval_float((qv, pv)) for pv in grid.ps] for qv in grid.qs])
+        kern = grid.weights * fv / (2.0 * pi * hbar)
+        out.append(np.einsum("mij,ij,nij->mn", C, kern, np.conj(C), optimize=True))
+    return out
+
+
+ORACLE_POLYS = {
+    "1": ONE,
+    "q": Q,
+    "p": P,
+    "q^2": Q * Q,
+    "qp": Q * P,
+    "q^2+p^2": Q * Q + P * P,
+    "3q-p^2/2": Q.scale(Fraction(3)) - (P * P).scale(Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("N, degree", [(12, 2), (16, 4)])
+def test_coefficient_tensor_matches_per_node_reference(hbar, N, degree):
+    grid = build_grid(hbar, N, degree)
+    refs = _reference_quantize(ORACLE_POLYS.values(), hbar, N, grid)
+    for (name, f), ref in zip(ORACLE_POLYS.items(), refs):
+        got = berezin_quantize(f, hbar, N, grid)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+
+
+@pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
+def test_coefficient_tensor_matches_poisson_weights_on_the_grid(hbar):
+    N = 16
+    grid = build_grid(hbar, N, 4)
+    C = _coeff_tensor(grid.qs, grid.ps, hbar, N, 4 * N + 40)
+    err = max(
+        float(np.max(np.abs(C[:, iq, ip] - poisson_weight_oracle(pv, qv, hbar, N))))
+        for iq, qv in enumerate(grid.qs)
+        for ip, pv in enumerate(grid.ps)
+    )
+    assert err <= 1e-9
+
+
+def test_one_hermite_rule_and_no_pointwise_evaluation_per_quantization(monkeypatch):
+    grid = build_grid(1.0, 16, 2)
+    counts = {"hermegauss": 0, "eval_float": 0}
+    hermegauss = np.polynomial.hermite_e.hermegauss
+    eval_float = PhasePoly.eval_float
+
+    def counted_hermegauss(*a):
+        counts["hermegauss"] += 1
+        return hermegauss(*a)
+
+    def counted_eval_float(*a):
+        counts["eval_float"] += 1
+        return eval_float(*a)
+
+    monkeypatch.setattr(np.polynomial.hermite_e, "hermegauss", counted_hermegauss)
+    monkeypatch.setattr(PhasePoly, "eval_float", counted_eval_float)
+    berezin_quantize(Q * Q + P * P, 1.0, 16, grid)
+    assert counts == {"hermegauss": 1, "eval_float": 0}

@@ -95,6 +95,12 @@ def test_expected_failures_count_as_pass():
     assert rep["verdict"] == "pass"
 
 
+def test_minimizer_suite_reports_the_points_it_checked(monkeypatch):
+    monkeypatch.setattr("compalg.cli.revalidate_witness", lambda w: 7)
+    rep = run(fast_cfg(suites=["minimizer-no-go"]))
+    assert rep["suites"][0]["samples"] == 7
+
+
 def test_md_report_shape():
     out = report_md(run(fast_cfg()))
     assert out.startswith("# verification report")

@@ -173,6 +173,12 @@ def test_minimizer_witness():
     revalidate_witness(w, lattice=257)
 
 
+def test_revalidate_witness_counts_the_lattice_it_ran():
+    w = minimizer_nonuniqueness_witness()
+    assert revalidate_witness(w) == 101
+    assert revalidate_witness(w, lattice=257) == 257
+
+
 def test_doctored_witness_is_refused_under_python_O():
     # y0 = (2, 0) is not on the segment and not equidistant with y
     code = (
