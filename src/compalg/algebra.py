@@ -8,14 +8,15 @@ two compatible ones via
     alpha12 = alpha1 sigma2 + sigma1 alpha2
     sigma12 = sigma1 sigma2 + (J^2 hbar^2 / 4) alpha1 alpha2.
 
-A composite element is its canonical coefficient dict
-{(left key, right key): coeff} with zero entries dropped, keys nested as
-the composition is; products expand factor basis pairs through a memo
-table, and equality is dict equality (exact for polynomial carriers,
-tolerance-based for float ones). Products accumulate integer numerators
-over one shared denominator (the representation of FLINT's fmpq_poly) and
-build one Fraction per output coefficient; a value that is not rational
-(a float carrier's complex entry) is its own numerator over 1.
+A composite element is integer numerators over one shared denominator
+(the representation of FLINT's fmpq_poly): the canonical pair
+(den, {(left key, right key): numerator}) with den > 0 coprime to the
+numerators and zero entries dropped, keys nested as the composition is.
+Sums, scalings, products and pure tensors stay on integers, so equal
+values are equal pairs; only ``decompose`` builds Fractions, one per
+coefficient.  A value that is not rational (a float carrier's complex
+entry) is its own numerator over 1 and leaves den 1.  Products expand
+factor basis pairs through the factor carrier's memo table.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from typing import Any, Callable, Optional
 
 from . import phasepoly as pp
 from .errors import ClassMismatch, HBarMismatch, UnexpectedPass
-from .phasepoly import PhasePoly
+from .phasepoly import PhasePoly, _over_lcm, _ratio, _split
 
 IDENTITIES = (
     "leibniz-sigma",
@@ -61,6 +62,9 @@ class Carrier:
     sample: Callable[[random.Random], Any]
     tol: float = 0.0
     jscale: Optional[Callable[[Any, Fraction], Any]] = None
+    # (product, k1, k2) -> decompose(product(basis(k1), basis(k2))) over its lcm,
+    # filled by the composites built on this carrier and shared by all of them
+    expansions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def sub(self, x, y):
         return self.add(x, self.scale(y, Fraction(-1)))
@@ -266,34 +270,31 @@ def phase_poly_carrier(
 # Bipartite tensor composition
 # ---------------------------------------------------------------------------
 
-def tensor(a: Carrier, b: Carrier, left, right) -> dict:
+def _lowest(den: int, nums: dict) -> tuple:
+    """(den, nums) as a canonical composite element: zeros dropped, den coprime to the numerators.
+
+    A value that is not rational has no integer factor to share with den,
+    so it is divided through and the element is left over 1.
+    """
+    nums = {k: n for k, n in nums.items() if n}
+    if not set(map(type, nums.values())) <= {int}:
+        return 1, {k: n / den for k, n in nums.items()}
+    g = gcd(den, *nums.values())
+    if g == 1:
+        return den, nums
+    return den // g, {k: n // g for k, n in nums.items()}
+
+
+def tensor(a: Carrier, b: Carrier, left, right) -> tuple:
     """The pure tensor left (x) right as a compose_bipartite(a, b) element."""
-    dr = b.decompose(right)
-    return {(kl, kr): cl * cr for kl, cl in a.decompose(left).items() for kr, cr in dr.items()}
-
-
-def _split(v) -> tuple:
-    """v as (numerator, denominator): a rational's integers, any other value over 1."""
-    if isinstance(v, (int, Fraction)):
-        return v.numerator, v.denominator
-    return v, 1
-
-
-def _over_lcm(d: dict) -> tuple:
-    """(D, {k: numerator}) with D the lcm of d's denominators, so d[k] = numerator / D."""
-    split = {k: _split(v) for k, v in d.items()}
-    den = lcm(*(dv for _, dv in split.values()))
-    return den, {k: n * (den // dv) for k, (n, dv) in split.items()}
-
-
-def _ratio(n, d):
-    """n / d, exact (one Fraction) for an integer numerator."""
-    return Fraction(n, d) if isinstance(n, int) else n / d
+    dl, nl = _over_lcm(a.decompose(left))
+    dr, nr = _over_lcm(b.decompose(right))
+    return _lowest(dl * dr, {(kl, kr): cl * cr for kl, cl in nl.items() for kr, cr in nr.items()})
 
 
 def _expander(c: Carrier) -> Callable:
-    """Memoized decompose(prod(basis(k1), basis(k2))) over c's products, as _over_lcm pairs."""
-    table = {}
+    """decompose(prod(basis(k1), basis(k2))) over its lcm, memoized in c.expansions."""
+    table = c.expansions
 
     def expand(prod, k1, k2):
         key = (prod, k1, k2)
@@ -305,18 +306,28 @@ def _expander(c: Carrier) -> Callable:
     return expand
 
 
-def _add(x: dict, y: dict) -> dict:
-    out = dict(x)
-    for k, v in y.items():
-        out[k] = out.get(k, 0) + v
-    return {k: v for k, v in out.items() if v}
+def _add(x: tuple, y: tuple) -> tuple:
+    (dx, nx), (dy, ny) = x, y
+    den = lcm(dx, dy)
+    mx, my = den // dx, den // dy
+    out = {k: n * mx for k, n in nx.items()}
+    for k, n in ny.items():
+        out[k] = out.get(k, 0) + n * my
+    return _lowest(den, out)
+
+
+def _scale(x: tuple, s) -> tuple:
+    ns, ds = _split(s)
+    den, nums = x
+    return _lowest(den * ds, {k: n * ns for k, n in nums.items()})
 
 
 def compose_bipartite(a: Carrier, b: Carrier, extra_a: Fraction = Fraction(0)) -> Carrier:
-    """Carrier on canonical {(left key, right key): coeff} dicts, zeros dropped.
+    """Carrier on canonical (den, {(left key, right key): numerator}) pairs.
 
     Both products are one bilinear law sum_i w_i (left_i (x) right_i), and
-    each pair of factor basis keys is expanded once per factor carrier.
+    each pair of factor basis keys is expanded once per factor carrier, in
+    that carrier's ``expansions`` table.
     `extra_a` adds the forbidden a * alpha1 alpha2 term to the skew product;
     it exists so the a = 0 derivation can be machine-falsified.
     """
@@ -325,15 +336,13 @@ def compose_bipartite(a: Carrier, b: Carrier, extra_a: Fraction = Fraction(0)) -
     if a.hbar != b.hbar:
         raise HBarMismatch(f"{a.name} vs {b.name}")
     xcoef = Fraction(a.jsquared) * a.hbar * a.hbar / 4
-    left = _expander(a)
-    right = left if b is a else _expander(b)
+    left, right = _expander(a), _expander(b)
 
     def product(law):
         law = [(pa, pb, *_split(w)) for pa, pb, w in law if w]
 
         def run(x, y):
-            dx, x = _over_lcm(x)
-            dy, y = _over_lcm(y)
+            (dx, x), (dy, y) = x, y
             # each factor expansion this call needs, fetched once per distinct key pair
             xl, xr = dict.fromkeys(k[0] for k in x), dict.fromkeys(k[1] for k in x)
             yl, yr = dict.fromkeys(k[0] for k in y), dict.fromkeys(k[1] for k in y)
@@ -368,8 +377,7 @@ def compose_bipartite(a: Carrier, b: Carrier, extra_a: Fraction = Fraction(0)) -
                 m = den // d
                 for k, v in acc.items():
                     out[k] = out.get(k, 0) + v * m
-            den *= dx * dy
-            return {k: _ratio(v, den) for k, v in out.items() if v}
+            return _lowest(den * dx * dy, out)
 
         return run
 
@@ -385,11 +393,11 @@ def compose_bipartite(a: Carrier, b: Carrier, extra_a: Fraction = Fraction(0)) -
         hbar=a.hbar,
         unit=tensor(a, b, a.unit, b.unit),
         add=_add,
-        scale=lambda x, s: {k: v * s for k, v in x.items()} if s else {},
+        scale=_scale,
         sigma=product([(a.sigma, b.sigma, 1), (a.alpha, b.alpha, xcoef)]),
         alpha=product([(a.alpha, b.sigma, 1), (a.sigma, b.alpha, 1), (a.alpha, b.alpha, extra_a)]),
-        decompose=lambda x: x,
-        basis=lambda k: {k: 1},
+        decompose=lambda x: {k: _ratio(n, x[0]) for k, n in x[1].items()},
+        basis=lambda k: (1, {k: 1}),
         sample=t_sample,
         tol=max(a.tol, b.tol),
     )
@@ -419,8 +427,8 @@ def check_monoid(a: Carrier, b: Carrier, c: Carrier, count: int = 100, seed: int
 
         # sigma12 = sigma21 and alpha12 = alpha21, modulo the factor swap
         for prod in ("sigma", "alpha"):
-            d12 = getattr(ab, prod)(tensor(a, b, fa, fb), tensor(a, b, ga, gb))
-            d21 = getattr(ba, prod)(tensor(b, a, fb, fa), tensor(b, a, gb, ga))
+            d12 = ab.decompose(getattr(ab, prod)(tensor(a, b, fa, fb), tensor(a, b, ga, gb)))
+            d21 = ba.decompose(getattr(ba, prod)(tensor(b, a, fb, fa), tensor(b, a, gb, ga)))
             d21s = {(k[1], k[0]): v for k, v in d21.items()}
             law(i, f"{prod}-commutativity", d12, d21s)
 
@@ -430,15 +438,15 @@ def check_monoid(a: Carrier, b: Carrier, c: Carrier, count: int = 100, seed: int
         right_f = tensor(a, bc, fa, tensor(b, c, fb, fc))
         right_g = tensor(a, bc, ga, tensor(b, c, gb, gc))
         for prod in ("sigma", "alpha"):
-            dl = getattr(ab_c, prod)(left_f, left_g)
+            dl = ab_c.decompose(getattr(ab_c, prod)(left_f, left_g))
             dl = {(ka, (kb, kc)): v for ((ka, kb), kc), v in dl.items()}  # re-associate keys
-            law(i, f"{prod}-associativity", dl, getattr(a_bc, prod)(right_f, right_g))
+            law(i, f"{prod}-associativity", dl, a_bc.decompose(getattr(a_bc, prod)(right_f, right_g)))
 
         # unit absorption: (f (x) 1) prod12 (g (x) 1) = (f prod g) (x) 1
         for prod in ("sigma", "alpha"):
             got = getattr(ab, prod)(tensor(a, b, fa, b.unit), tensor(a, b, ga, b.unit))
             want = tensor(a, b, getattr(a, prod)(fa, ga), b.unit)
-            law(i, f"{prod}-unit-absorption", got, want)
+            law(i, f"{prod}-unit-absorption", ab.decompose(got), ab.decompose(want))
     return rep
 
 

@@ -2,13 +2,15 @@
 
 States are Gaussian-weighted polynomials, integrated exactly via Gaussian
 moments with pi carried as a formal power.  Star products keep one
-polynomial factor so every series terminates; they are summed by the same
-``phasepoly.series`` as the polynomial products, with the Gaussian-weighted
-factor on the left.  The functional <g* star g> is then an exact rational
-(or split-complex) number, which makes the elliptic/hyperbolic positivity
-split decidable, not numeric.  It is sesquilinear in the coefficients of g,
-so the lattice sweeps read it off one exact 3x3 Gram matrix over {1, q, p}
-per state instead of expanding a star product at every lattice point.
+polynomial factor so every series terminates; they sum the levels of the
+same ``phasepoly.contractions`` walk as the polynomial products, with the
+Gaussian-weighted factor on the left (on Fraction coefficients: the
+Gaussian's derivatives are not integer polynomials).  The functional
+<g* star g> is then an exact rational (or split-complex) number, which
+makes the elliptic/hyperbolic positivity split decidable, not numeric.
+It is sesquilinear in the coefficients of g, so the lattice sweeps read it
+off one exact 3x3 Gram matrix over {1, q, p} per state instead of
+expanding a star product at every lattice point.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .phasepoly import (
     HYPERBOLIC,
     J_UNIT,
     PhasePoly,
-    series,
+    contractions,
     star,
 )
 from .scalars import J_SPLIT
@@ -168,11 +170,11 @@ def star_gp(
 ) -> GaussPoly:
     """F star g (side="left") or g star F (side="right") as a finite sum.
 
-    The associative product is ``phasepoly.series`` with the weights
-    (J hbar/2)^k / k!; swapping the factors flips the sign of every
-    contraction, so g star F uses (-J hbar/2)^k.  The series terminates at
-    k = deg g because each contraction spends one derivative on the
-    polynomial factor.
+    The associative product sums the levels of ``phasepoly.contractions``
+    with the weights (J hbar/2)^k / k!; swapping the factors flips the sign
+    of every contraction, so g star F uses (-J hbar/2)^k.  The series
+    terminates at k = deg g because each contraction spends one derivative
+    on the polynomial factor.
     """
     if cls not in (ELLIPTIC, HYPERBOLIC):
         raise ValueError("class must be elliptic or hyperbolic")
@@ -180,8 +182,14 @@ def star_gp(
         raise ValueError("side must be 'left' or 'right'")
     h2 = Fraction(hbar) / 2
     jh2 = J_UNIT[cls] * (h2 if side == "left" else -h2)
-    # a rational 1 at k = 0 keeps the plain product's coefficients rational
-    return series(F, g, [jh2**k / factorial(k) if k else 1 for k in range(g.degree + 1)])
+    total = None
+    for k, level in zip(range(g.degree + 1), contractions(F, g)):
+        # a rational 1 at k = 0 keeps the plain product's coefficients rational
+        w = jh2**k / factorial(k) if k else 1
+        for a, b, c, _, _ in level:
+            term = a * b.scale(w * c)
+            total = term if total is None else total + term
+    return total
 
 
 def _real_part(v):

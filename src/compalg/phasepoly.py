@@ -11,12 +11,21 @@ pairs, each level built once from the one before, and ``series`` sums
 sum_k w_k f (<->nabla)^k g for given weights.  The three classes differ
 only in J^2 (-1, 0, +1) inside the one series sum_k (J hbar/2)^k/k! nabla^k,
 whose even half is ``sigma`` and whose odd half (J factored out) is ``alpha``.
+
+``series`` runs on integer numerators over one shared denominator (the
+representation of FLINT's fmpq_poly): ``_over_lcm`` splits f, g and the
+weights once, the walk and the products stay on ints, and each output
+coefficient is one Fraction.  A value that is not rational (a J-valued
+coefficient or weight) is its own numerator over 1 on the same loop.
+``_split``/``_over_lcm``/``_ratio`` are shared with :mod:`compalg.algebra`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from functools import cache
+from math import comb, factorial, lcm
+from operator import add
 
 from .errors import DofMismatch
 from .scalars import EPS_DUAL, I_COMPLEX, J_SPLIT
@@ -104,7 +113,7 @@ class PhasePoly:
         t = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 t[e] = t.get(e, 0) + c1 * c2
         return PhasePoly(self.dof, t)
 
@@ -221,23 +230,56 @@ def contractions(f, g: PhasePoly):
         level = nxt
 
 
-def series(f, g: PhasePoly, weights):
+def _split(v) -> tuple:
+    """v as (numerator, denominator): a rational's integers, any other value over 1."""
+    if isinstance(v, (int, Fraction)):
+        return v.numerator, v.denominator
+    return v, 1
+
+
+def _over_lcm(d: dict) -> tuple:
+    """(D, {k: numerator}) with D the lcm of d's denominators, so d[k] = numerator / D."""
+    split = {k: _split(v) for k, v in d.items()}
+    den = lcm(*(dv for _, dv in split.values()))
+    return den, {k: n * (den // dv) for k, (n, dv) in split.items()}
+
+
+def _ratio(n, d):
+    """n / d, exact (one Fraction) for an integer numerator."""
+    return Fraction(n, d) if isinstance(n, int) else n / d
+
+
+def series(f: PhasePoly, g: PhasePoly, weights) -> PhasePoly:
     """sum_k weights[k] f (<->nabla)^k g over the levels of ``contractions``.
 
-    Level k is built only when ``weights`` has an entry k.  Each pair adds
-    a * (w c b): the weight scales the right factor's few terms, not the
-    product.
+    f, g and the weights are each split once by ``_over_lcm``, so the walk
+    differentiates and multiplies integer numerators.  Those of w c (a * b)
+    accumulate in one dict, and each output coefficient is one division by
+    the product of the three denominators.  Level k is built only when
+    ``weights`` has an entry k.
     """
     if f.dof != g.dof:
         raise DofMismatch(f"dof {f.dof} vs {g.dof}")
-    total = None
-    for w, level in zip(weights, contractions(f, g)):
+    n = g.dof
+    dw, nw = _over_lcm(dict(enumerate(weights)))
+    df, nf = _over_lcm(f.terms)
+    dg, ng = _over_lcm(g.terms)
+    acc = {}
+    for w, level in zip(nw.values(), contractions(PhasePoly(n, nf), PhasePoly(n, ng))):
         if not w:
             continue
         for a, b, c, _, _ in level:
-            term = a * b.scale(w * c)
-            total = term if total is None else total + term
-    return f * PhasePoly(g.dof) if total is None else total
+            wc = w * c
+            for e, v in (a * b).terms.items():
+                # zero terms and sums are dropped as PhasePoly drops them, so a
+                # coefficient's ring is that of its terms since it last cancelled
+                if v := v * wc:
+                    if v := acc.get(e, 0) + v:
+                        acc[e] = v
+                    else:
+                        del acc[e]
+    den = dw * df * dg
+    return PhasePoly(n, {e: _ratio(v, den) for e, v in acc.items()})
 
 
 def nabla_power(f: PhasePoly, g: PhasePoly, k: int) -> PhasePoly:
@@ -252,22 +294,32 @@ def poisson(f: PhasePoly, g: PhasePoly) -> PhasePoly:
     return series(f, g, [0, 1])
 
 
-def _series(f: PhasePoly, g: PhasePoly, cls: str, hbar: Fraction, parity: int) -> PhasePoly:
-    """Even (parity 0) or odd (parity 1) half of sum_k (J hbar/2)^k/k! nabla^k.
+@cache
+def _weights(cls: str, hbar: Fraction, parity: int, top: int) -> tuple:
+    """Weights of the even (parity 0) or odd (parity 1) half up to level top.
 
-    J^parity is factored out, so the k-th coefficient is
+    J^parity is factored out, so the k-th weight is
     s^(k//2) (hbar/2)^(k - parity) / k! with s = J^2.  Once it is zero
-    (k >= 2 when J^2 = 0, or hbar = 0) it stays zero, and nabla^k vanishes
-    once k exceeds either factor's degree; either ends the weights.
+    (k >= 2 when J^2 = 0, or hbar = 0) it stays zero, which ends them.
+    Cached, so a product with known weights does no Fraction arithmetic.
     """
     s, h2 = J_SQUARED[cls], Fraction(hbar) / 2
     weights = []
-    for k in range(parity, min(f.degree, g.degree) + 1, 2):
+    for k in range(parity, top + 1, 2):
         c = s ** (k // 2) * h2 ** (k - parity) / factorial(k)
         if not c:
             break
         weights += [0] * (k - len(weights)) + [c]
-    return series(f, g, weights)
+    return tuple(weights)
+
+
+def _series(f: PhasePoly, g: PhasePoly, cls: str, hbar: Fraction, parity: int) -> PhasePoly:
+    """Even (parity 0) or odd (parity 1) half of sum_k (J hbar/2)^k/k! nabla^k.
+
+    nabla^k vanishes once k exceeds either factor's degree, so the weights
+    stop there.
+    """
+    return series(f, g, _weights(cls, hbar, parity, min(f.degree, g.degree)))
 
 
 def alpha(f: PhasePoly, g: PhasePoly, cls: str, hbar: Fraction = DEFAULT_HBAR) -> PhasePoly:

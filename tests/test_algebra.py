@@ -1,9 +1,12 @@
+import dataclasses
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 
+from compalg import algebra, cli
 from compalg.algebra import (
     IDENTITIES,
     beta_product,
@@ -110,12 +113,35 @@ def test_falsify_zero_a_passes():
 def test_falsify_weak_sampler_raises():
     # constants commute with everything, so no counterexample can appear
     c = phase_poly_carrier(ELLIPTIC, Fraction(2), 1, 3)
-    import dataclasses
-
     const_sampler = lambda rng: PhasePoly.const(Fraction(rng.randint(1, 5)), 1)
     weak = dataclasses.replace(c, sample=const_sampler)
     with pytest.raises(UnexpectedPass):
         falsify_nonzero_a(weak, weak, Fraction(1), count=10, seed=9)
+
+
+def test_falsify_suite_expands_each_factor_pair_once(monkeypatch):
+    """The four falsify-nonzero-a composites (a = 1, -1, 1/2, 0) share their
+    factor carrier's expansion table: at seed 0 each (product, key pair) is
+    filled once, 776 fills, where one table per composite made 3,104."""
+    build = algebra.phase_poly_carrier
+    fills = []
+
+    def counted(*args, **kwargs):
+        c = build(*args, **kwargs)
+
+        def wrap(name, prod):
+            def run(x, y):
+                fills.append((name, x, y))
+                return prod(x, y)
+
+            return run
+
+        return dataclasses.replace(c, sigma=wrap("sigma", c.sigma), alpha=wrap("alpha", c.alpha))
+
+    monkeypatch.setattr(algebra, "phase_poly_carrier", counted)
+    suite = cli._suite_falsify_a(cli.parse_config(""), 0)
+    assert suite["verdict"] == "pass"
+    assert len(fills) == len(set(fills)) == 776
 
 
 def test_single_product_triviality():
@@ -146,14 +172,19 @@ def test_basis_inverts_decompose():
     ]
     for carrier, k in cases:
         assert carrier.decompose(carrier.basis(k)) == {k: 1}, (carrier.name, k)
-    # a composite element is its own canonical dict
-    t = tensor(c, c, PhasePoly.q(1, 2), PhasePoly.p(2, 2))
-    assert bip.decompose(t) is t
+    # a composite element is canonical: zero is (1, {}), and equal values
+    # built two ways are equal pairs
+    q, p = PhasePoly.q(1, 2), PhasePoly.p(2, 2)
+    t = tensor(c, c, q.scale(Fraction(1, 2)), p + q.scale(Fraction(2, 3)))
+    assert bip.add(t, bip.scale(t, Fraction(-1))) == (1, {})
+    assert bip.scale(t, Fraction(0)) == (1, {})
+    u = tensor(c, c, q.scale(Fraction(3, 2)), p.scale(Fraction(1, 3)) + q.scale(Fraction(2, 9)))
+    assert t == u and t[0] == 6 and bip.add(t, t) == bip.scale(t, Fraction(2))
 
 
-def _as_dof2(x) -> PhasePoly:
+def _as_dof2(bip, x) -> PhasePoly:
     """A composite of dof-1 factors as a dof-2 poly: ((q1, p1), (q2, p2)) -> (q1, q2, p1, p2)."""
-    return PhasePoly(2, {(q1, q2, p1, p2): v for ((q1, p1), (q2, p2)), v in x.items()})
+    return PhasePoly(2, {(q1, q2, p1, p2): v for ((q1, p1), (q2, p2)), v in bip.decompose(x).items()})
 
 
 @pytest.mark.parametrize("cls", CLASSES)
@@ -168,8 +199,8 @@ def test_composition_oracle_is_dof2_carrier(cls, hbar):
     for _ in range(20):
         x, y = (tensor(c1, c1, c1.sample(rng), c1.sample(rng)) for _ in range(2))
         for prod in ("sigma", "alpha"):
-            got = _as_dof2(getattr(bip, prod)(x, y))
-            assert got == getattr(c2, prod)(_as_dof2(x), _as_dof2(y)), (prod, x, y)
+            got = _as_dof2(bip, getattr(bip, prod)(x, y))
+            assert got == getattr(c2, prod)(_as_dof2(bip, x), _as_dof2(bip, y)), (prod, x, y)
 
 
 @pytest.mark.parametrize("cls", CLASSES)
@@ -182,7 +213,9 @@ def test_composition_oracle_control_nonzero_a(cls):
         tuple(tensor(c1, c1, c1.sample(rng), c1.sample(rng)) for _ in range(2))
         for _ in range(20)
     ]
-    assert any(_as_dof2(bad.alpha(x, y)) != c2.alpha(_as_dof2(x), _as_dof2(y)) for x, y in pairs)
+    assert any(
+        _as_dof2(bad, bad.alpha(x, y)) != c2.alpha(_as_dof2(bad, x), _as_dof2(bad, y)) for x, y in pairs
+    )
 
 
 def test_expected_fail_report_semantics():
@@ -193,7 +226,8 @@ def test_expected_fail_report_semantics():
 
 
 def _reference_product(a, b, prod, extra_a=Fraction(0)):
-    """The Fraction loop of compose_bipartite before integer numerators: the slow-path oracle."""
+    """The Fraction loop of compose_bipartite before integer numerators, on
+    {(left key, right key): Fraction} dicts: the slow-path oracle."""
     xcoef = Fraction(a.jsquared) * a.hbar * a.hbar / 4
     law = {
         "sigma": [(a.sigma, b.sigma, 1), (a.alpha, b.alpha, xcoef)],
@@ -229,8 +263,10 @@ def _assert_matches_reference(bip, ref, elems):
     for prod in ("sigma", "alpha"):
         for x in elems:
             for y in elems:
-                got = getattr(bip, prod)(x, y)
-                assert got == ref[prod](x, y), (prod, x, y)
+                den, nums = result = getattr(bip, prod)(x, y)
+                assert den > 0 and gcd(den, *nums.values()) == 1 and all(nums.values()), result
+                got = bip.decompose(result)
+                assert got == ref[prod](bip.decompose(x), bip.decompose(y)), (prod, x, y)
                 assert all(type(v) is Fraction for v in got.values()), (prod, got)
 
 
@@ -248,13 +284,16 @@ def test_composite_product_matches_fraction_loop(cls, hbar, extra_a):
 
 
 def test_nested_composite_product_matches_fraction_loop():
-    import dataclasses
-
     c = phase_poly_carrier(HYPERBOLIC, Fraction(1, 2), dof=1, max_degree=2)
     bip = compose_bipartite(c, c)
     nested = compose_bipartite(bip, c)
+    # the dict-valued composite that the reference products act on
     ref_bip = dataclasses.replace(
-        bip, sigma=_reference_product(c, c, "sigma"), alpha=_reference_product(c, c, "alpha")
+        bip,
+        sigma=_reference_product(c, c, "sigma"),
+        alpha=_reference_product(c, c, "alpha"),
+        decompose=lambda x: x,
+        basis=lambda k: {k: 1},
     )
     ref = {prod: _reference_product(ref_bip, c, prod) for prod in ("sigma", "alpha")}
     rng = random.Random(22)
@@ -262,8 +301,8 @@ def test_nested_composite_product_matches_fraction_loop():
 
 
 def test_composite_product_makes_one_fraction_per_coefficient(monkeypatch):
-    """With the memo tables warm, the inner loop does no Fraction arithmetic:
-    the only Fractions built are the output coefficients."""
+    """With the memo tables warm, a product does no Fraction arithmetic and
+    builds no Fraction; decompose builds one per output coefficient."""
     c = phase_poly_carrier(ELLIPTIC, Fraction(2), dof=1, max_degree=3)
     bip = compose_bipartite(c, c, extra_a=Fraction(1))
     rng = random.Random(23)
@@ -283,15 +322,18 @@ def test_composite_product_makes_one_fraction_per_coefficient(monkeypatch):
     counted("__new__", staticmethod)
     for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
         counted(name)
-    result = bip.alpha(x, y)
+    den, nums = result = bip.alpha(x, y)
+    assert nums and calls == {}
+    values = bip.decompose(result)
     monkeypatch.undo()
-    assert result and calls == {"__new__": len(result)}
+    assert calls == {"__new__": len(nums)}
+    assert values == {k: Fraction(n, den) for k, n in nums.items()}
 
 
-def _as_4x4(x) -> np.ndarray:
+def _as_4x4(bip, x) -> np.ndarray:
     """A composite of two 2x2 matrix carriers as the Kronecker-product matrix."""
     out = np.zeros((4, 4), dtype=complex)
-    for ((i1, j1), (i2, j2)), v in x.items():
+    for ((i1, j1), (i2, j2)), v in bip.decompose(x).items():
         out[2 * i1 + i2, 2 * j1 + j2] = v
     return out
 
@@ -307,14 +349,12 @@ def test_composition_oracle_is_4x4_matrix_carrier(hbar):
     for _ in range(50):
         a, b, c, d = (m2.sample(rng) for _ in range(4))
         for prod in ("sigma", "alpha"):
-            got = _as_4x4(getattr(bip, prod)(tensor(m2, m2, a, b), tensor(m2, m2, c, d)))
+            got = _as_4x4(bip, getattr(bip, prod)(tensor(m2, m2, a, b), tensor(m2, m2, c, d)))
             want = getattr(m4, prod)(np.kron(a, b), np.kron(c, d))
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), prod
 
 
 def test_monoid_tolerance_scales_with_float_coefficients():
-    import dataclasses
-
     m = matrix_carrier(2)
     big = dataclasses.replace(m, sample=lambda rng: 1000 * m.sample(rng))
     rep = check_monoid(big, big, big, count=5, seed=25)

@@ -1,19 +1,22 @@
 import random
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import factorial, prod
 
 import pytest
 import sympy as sp
 
 from compalg import phasepoly
-from compalg.algebra import sample_poly
+from compalg.algebra import sample_poly, sample_rational
 from compalg.cli import SuiteConfig, run
 from compalg.errors import DofMismatch
 from compalg.phasepoly import (
+    CLASSES,
     DEFAULT_HBAR,
     ELLIPTIC,
     HYPERBOLIC,
     J_SQUARED,
+    J_UNIT,
     PARABOLIC,
     PhasePoly,
     alpha,
@@ -21,6 +24,7 @@ from compalg.phasepoly import (
     hbar_zero_limit,
     nabla_power,
     poisson,
+    series,
     sigma,
     star,
 )
@@ -118,6 +122,129 @@ def test_nabla_power_takes_each_derivative_once(monkeypatch):
     levels = list(contractions(x4, x4))
     assert [len(level) for level in levels] == [1, 4, 10, 20, 35]
     assert [sum(abs(c) for _, _, c, _, _ in level) for level in levels] == [4**k for k in range(5)]
+
+
+def _reference_series(f, g, weights):
+    """The Fraction ``series`` before integer numerators: each pair adds
+    a * (w c b) as a PhasePoly.  The slow-path oracle."""
+    total = None
+    for w, level in zip(weights, contractions(f, g)):
+        if not w:
+            continue
+        for a, b, c, _, _ in level:
+            term = a * b.scale(w * c)
+            total = term if total is None else total + term
+    return f * PhasePoly(g.dof) if total is None else total
+
+
+def _class_weights(cls, hbar, parity, top):
+    h2 = Fraction(hbar) / 2
+    return [
+        J_SQUARED[cls] ** (k // 2) * h2 ** (k - parity) / factorial(k) if k % 2 == parity else 0
+        for k in range(top + 1)
+    ]
+
+
+def _assert_same(got, want):
+    assert got == want
+    assert {e: type(c) for e, c in got.terms.items()} == {e: type(c) for e, c in want.terms.items()}
+
+
+HBARS = (Fraction(1, 2), Fraction(2), Fraction(3))
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+@pytest.mark.parametrize("hbar", HBARS)
+def test_series_matches_fraction_reference(cls, hbar):
+    """Value and coefficient type, on rational, J-scaled and mixed
+    coefficients, for the class weights and for star_gp's J-valued ones."""
+    rng = random.Random(31)
+    j = J_UNIT[cls]
+    star_weights = [(j * hbar / 2) ** k / factorial(k) if k else 1 for k in range(5)]
+    for dof in (1, 2):
+        for _ in range(8):
+            f, g = sample_poly(rng, dof, 4), sample_poly(rng, dof, 4)
+            jf = f.scale(j * sample_rational(rng))
+            mixed = g + sample_poly(rng, dof, 3).scale(j * Fraction(1, 3))
+            for x, y in ((f, g), (jf, g), (f, mixed), (jf, mixed), (mixed, mixed)):
+                top = min(x.degree, y.degree)
+                for parity, half in ((0, sigma), (1, alpha)):
+                    _assert_same(half(x, y, cls, hbar), _reference_series(x, y, _class_weights(cls, hbar, parity, top)))
+                _assert_same(series(x, y, star_weights), _reference_series(x, y, star_weights))
+
+
+def test_warm_sigma_makes_one_fraction_per_coefficient(monkeypatch):
+    """The product series runs on integer numerators: with the class weights
+    computed once, sigma does no Fraction arithmetic and builds one Fraction
+    per output coefficient."""
+    q1, q2, p1, p2 = PhasePoly.q(1, 2), PhasePoly.q(2, 2), PhasePoly.p(1, 2), PhasePoly.p(2, 2)
+    x = q1 + p1.scale(Fraction(1, 2)) + q2.scale(Fraction(1, 3)) - p2
+    f = x * x * x + (q1 * p2).scale(Fraction(2, 3))
+    g = x * x * x * x - p1.scale(Fraction(1, 5))
+    hbar = Fraction(3)
+    sigma(f, g, ELLIPTIC, hbar)
+    calls = {}
+
+    def counted(name, wrap=lambda fn: fn):
+        orig = getattr(Fraction, name)
+
+        def fn(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(Fraction, name, wrap(fn))
+
+    counted("__new__", staticmethod)
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__truediv__", "__pow__"):
+        counted(name)
+    result = sigma(f, g, ELLIPTIC, hbar)
+    monkeypatch.undo()
+    assert result and calls == {"__new__": len(result.terms)}
+    assert result == _reference_series(f, g, _class_weights(ELLIPTIC, 3, 0, 3))
+
+
+def _monomials(nvars, top):
+    return [e for e in product(range(top + 1), repeat=nvars) if sum(e) <= top]
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+@pytest.mark.parametrize("dof, top", [(1, 4), (2, 3)])
+def test_products_match_generating_function(cls, dof, top):
+    """An oracle independent of the walk.  For e^(a.x) and e^(b.x) every
+    contraction gives a^b = sum_i a_qi b_pi - a_pi b_qi, so sigma of them is
+    e^((a+b).x) sum_j mu^j (a^b)^(2j)/(2j)! and alpha the odd twin
+    sum_j mu^j (a^b)^(2j+1)/(2j+1)!, mu = J^2 hbar^2/4.  The products of
+    the monomials x^m, x^n are m! n! times the a^m b^n Taylor coefficient;
+    every pair of degree <= top is compared."""
+    hbar, n = Fraction(3), 2 * dof
+    names = [f"{s}{i}" for s in "abx" for i in range(n)]
+    _, *gens = sp.ring(",".join(names), sp.QQ)
+    a, b, xs = gens[:n], gens[n : 2 * n], gens[2 * n :]
+    mu = sp.QQ(J_SQUARED[cls] * hbar.numerator**2, 4 * hbar.denominator**2)
+    wedge = sum(a[i] * b[dof + i] - a[dof + i] * b[i] for i in range(dof))
+    mons = _monomials(n, top)
+
+    def mfact(e):
+        return prod(factorial(k) for k in e)
+
+    def truncated_exp(c):
+        # e^(c.x) up to degree top in c: sum_m c^m x^m / m!
+        return sum(prod((ci * xi) ** k for ci, xi, k in zip(c, xs, e)) * sp.QQ(1, mfact(e)) for e in mons)
+
+    base = truncated_exp(a) * truncated_exp(b)
+    for parity, half in ((0, sigma), (1, alpha)):
+        odd_even = sum(mu ** (k // 2) * wedge**k * sp.QQ(1, factorial(k)) for k in range(parity, top + 1, 2))
+        want = {}
+        for exps, coeff in (base * odd_even).items():
+            m, mm, x = exps[:n], exps[n : 2 * n], exps[2 * n :]
+            if sum(m) <= top and sum(mm) <= top:
+                v = Fraction(int(coeff.numerator), int(coeff.denominator))
+                want.setdefault((m, mm), {})[x] = v * mfact(m) * mfact(mm)
+        assert want
+        for m in mons:
+            for mm in mons:
+                got = half(PhasePoly(dof, {m: Fraction(1)}), PhasePoly(dof, {mm: Fraction(1)}), cls, hbar)
+                assert got == PhasePoly(dof, want.get((m, mm), {})), (half.__name__, m, mm)
 
 
 def test_frozen_derived_values():

@@ -1,5 +1,6 @@
 """Rules on the package source: one eigensolver path, sympy only in tests,
-and no ``assert`` statements, which ``python -O`` strips."""
+no ``assert`` statements, which ``python -O`` strips, and one home for the
+integer-numerator helpers."""
 
 import ast
 import re
@@ -42,3 +43,29 @@ def test_assert_rule_catches_an_assert():
 def test_package_checks_survive_python_O():
     found = {f.name: v for f in sorted(SRC.rglob("*.py")) if (v := _asserts(f.read_text()))}
     assert found == {}
+
+
+RATIONAL_HELPERS = ("_over_lcm", "_ratio", "_split")
+
+
+def _helper_defs(text):
+    """Names from RATIONAL_HELPERS that the source defines or assigns."""
+    names = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return sorted(names & set(RATIONAL_HELPERS))
+
+
+def test_helper_rule_catches_a_second_definition():
+    assert _helper_defs("def _ratio(n, d):\n    return n / d\n") == ["_ratio"]
+    assert _helper_defs("class C:\n    def _split(self, v):\n        return v\n") == ["_split"]
+    assert _helper_defs("_over_lcm = lambda d: d\n") == ["_over_lcm"]
+    assert not _helper_defs("from .phasepoly import _over_lcm, _ratio\nx = _ratio(1, 2)\n")
+
+
+def test_rational_helpers_are_defined_only_in_phasepoly():
+    found = {f.name: d for f in sorted(SRC.rglob("*.py")) if (d := _helper_defs(f.read_text()))}
+    assert found == {"phasepoly.py": sorted(RATIONAL_HELPERS)}
