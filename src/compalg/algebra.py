@@ -32,17 +32,20 @@ from . import phasepoly as pp
 from .errors import ClassMismatch, HBarMismatch, UnexpectedPass
 from .phasepoly import PhasePoly, _over_lcm, _ratio, _split
 
-IDENTITIES = (
-    "leibniz-sigma",
-    "leibniz-alpha",
-    "jacobi",
-    "jordan",
-    "compatibility",
-    "skew-alpha",
-    "sym-sigma",
-    "unitality",
-    "relationality",
-)
+# identity name -> number of sampled arguments; check_all_identities seeds
+# identity k with seed + k, so this order fixes every report
+IDENTITY_ARITY = {
+    "leibniz-sigma": 3,
+    "leibniz-alpha": 3,
+    "jacobi": 3,
+    "jordan": 2,
+    "compatibility": 3,
+    "skew-alpha": 2,
+    "sym-sigma": 2,
+    "unitality": 1,
+    "relationality": 1,
+}
+IDENTITIES = tuple(IDENTITY_ARITY)
 
 
 @dataclass(frozen=True)
@@ -166,55 +169,40 @@ def _defects(c: Carrier, identity: str, elems) -> list:
         (f,) = elems
         left, right = a(c.unit, f), a(f, c.unit)
         return [(left, (left,)), (right, (right,))]
-    raise ValueError(f"unknown identity {identity!r}")
 
 
-IDENTITY_ARITY = {
-    "leibniz-sigma": 3,
-    "leibniz-alpha": 3,
-    "jacobi": 3,
-    "jordan": 2,
-    "compatibility": 3,
-    "skew-alpha": 2,
-    "sym-sigma": 2,
-    "unitality": 1,
-    "relationality": 1,
-}
+def _judge(rep: IdentityReport, carrier: Carrier, defect, summands=(), **where) -> Optional[dict]:
+    """The one pass/fail rule: record the defect's residual and fail it above tolerance.
+
+    A float tolerance is relative to the largest summand coefficient.  A
+    failing defect appends ``{**where, "residual": r}`` and returns it.
+    """
+    r = carrier.residual(defect)
+    rep.max_residual = max(rep.max_residual, r)
+    scale = max((1.0, *map(carrier.residual, summands))) if carrier.tol else 1.0
+    if r > carrier.tol * scale:
+        rep.failures.append({**where, "residual": r})
+        return rep.failures[-1]
+    return None
 
 
-def check_identity(
-    carrier: Carrier,
-    identity: str,
-    count: int = 200,
-    seed: int = 0,
-    sampler: Optional[Callable] = None,
-) -> IdentityReport:
+def check_identity(carrier: Carrier, identity: str, count: int = 200, seed: int = 0) -> IdentityReport:
     """Evaluate the named identity on `count` random tuples."""
     if identity not in IDENTITY_ARITY:
         raise ValueError(f"unknown identity {identity!r}")
     rng = random.Random(seed)
-    draw = sampler or carrier.sample
     rep = IdentityReport(identity, carrier.name, count)
     arity = IDENTITY_ARITY[identity]
     for i in range(count):
-        elems = tuple(draw(rng) for _ in range(arity))
+        elems = tuple(carrier.sample(rng) for _ in range(arity))
         for defect, summands in _defects(carrier, identity, elems):
-            r = carrier.residual(defect)
-            rep.max_residual = max(rep.max_residual, r)
-            # a float tolerance is relative to the largest summand coefficient
-            scale = max(1.0, *map(carrier.residual, summands)) if carrier.tol else 1.0
-            if r > carrier.tol * scale:
-                rep.failures.append(
-                    {"sample": i, "residual": r, "witness": repr(elems)}
-                )
+            if failed := _judge(rep, carrier, defect, summands, sample=i):
+                failed["witness"] = repr(elems)
     return rep
 
 
-def check_all_identities(carrier, count=200, seed=0, sampler=None):
-    return [
-        check_identity(carrier, ident, count, seed + k, sampler)
-        for k, ident in enumerate(IDENTITIES)
-    ]
+def check_all_identities(carrier, count=200, seed=0):
+    return [check_identity(carrier, ident, count, seed + k) for k, ident in enumerate(IDENTITIES)]
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +215,10 @@ def sample_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-5 * den, 5 * den), den)
 
 
-def sample_poly(
-    rng: random.Random, dof: int = 1, max_degree: int = 4, n_terms: int = 4
-) -> PhasePoly:
+def sample_poly(rng: random.Random, dof: int = 1, max_degree: int = 4) -> PhasePoly:
+    """Up to four terms, each a random monomial of degree <= max_degree."""
     terms = {}
-    for _ in range(rng.randint(1, n_terms)):
+    for _ in range(rng.randint(1, 4)):
         exps = [0] * (2 * dof)
         budget = rng.randint(0, max_degree)
         for _ in range(budget):
@@ -404,22 +391,20 @@ def compose_bipartite(a: Carrier, b: Carrier, extra_a: Fraction = Fraction(0)) -
 
 
 def check_monoid(a: Carrier, b: Carrier, c: Carrier, count: int = 100, seed: int = 0) -> IdentityReport:
-    """Commutativity, associativity and unit absorption of composition on random pure tensors."""
+    """Commutativity, associativity and unit absorption of composition on random pure tensors.
+
+    Each law is one defect on the composite it lives on: the other side's
+    result is carried over by relabelling its keys.
+    """
     ab, ba = compose_bipartite(a, b), compose_bipartite(b, a)
     ab_c = compose_bipartite(ab, c)
     bc = compose_bipartite(b, c)
     a_bc = compose_bipartite(a, bc)
     rng = random.Random(seed)
     rep = IdentityReport("monoid", f"{a.name},{b.name},{c.name}", count)
-    tol = max(a.tol, b.tol, c.tol)
 
-    def law(i, name, d1, d2):
-        r = max((_magnitude(d1.get(k, 0) - d2.get(k, 0)) for k in d1.keys() | d2.keys()), default=0.0)
-        rep.max_residual = max(rep.max_residual, r)
-        # a float tolerance is relative to the largest coefficient of the two sides
-        scale = max([1.0, *map(_magnitude, chain(d1.values(), d2.values()))]) if tol else 1.0
-        if r > tol * scale:
-            rep.failures.append({"sample": i, "law": name, "residual": r})
+    def law(i, name, carrier, lhs, rhs):
+        _judge(rep, carrier, carrier.sub(lhs, rhs), (lhs, rhs), sample=i, law=name)
 
     for i in range(count):
         fa, fb, fc = a.sample(rng), b.sample(rng), c.sample(rng)
@@ -427,10 +412,9 @@ def check_monoid(a: Carrier, b: Carrier, c: Carrier, count: int = 100, seed: int
 
         # sigma12 = sigma21 and alpha12 = alpha21, modulo the factor swap
         for prod in ("sigma", "alpha"):
-            d12 = ab.decompose(getattr(ab, prod)(tensor(a, b, fa, fb), tensor(a, b, ga, gb)))
-            d21 = ba.decompose(getattr(ba, prod)(tensor(b, a, fb, fa), tensor(b, a, gb, ga)))
-            d21s = {(k[1], k[0]): v for k, v in d21.items()}
-            law(i, f"{prod}-commutativity", d12, d21s)
+            x12 = getattr(ab, prod)(tensor(a, b, fa, fb), tensor(a, b, ga, gb))
+            den, x21 = getattr(ba, prod)(tensor(b, a, fb, fa), tensor(b, a, gb, ga))
+            law(i, f"{prod}-commutativity", ab, x12, (den, {(k[1], k[0]): v for k, v in x21.items()}))
 
         # associativity of composition on triple tensors
         left_f = tensor(ab, c, tensor(a, b, fa, fb), fc)
@@ -438,15 +422,15 @@ def check_monoid(a: Carrier, b: Carrier, c: Carrier, count: int = 100, seed: int
         right_f = tensor(a, bc, fa, tensor(b, c, fb, fc))
         right_g = tensor(a, bc, ga, tensor(b, c, gb, gc))
         for prod in ("sigma", "alpha"):
-            dl = ab_c.decompose(getattr(ab_c, prod)(left_f, left_g))
-            dl = {(ka, (kb, kc)): v for ((ka, kb), kc), v in dl.items()}  # re-associate keys
-            law(i, f"{prod}-associativity", dl, a_bc.decompose(getattr(a_bc, prod)(right_f, right_g)))
+            den, xl = getattr(ab_c, prod)(left_f, left_g)
+            xl = (den, {(ka, (kb, kc)): v for ((ka, kb), kc), v in xl.items()})  # re-associate keys
+            law(i, f"{prod}-associativity", a_bc, xl, getattr(a_bc, prod)(right_f, right_g))
 
         # unit absorption: (f (x) 1) prod12 (g (x) 1) = (f prod g) (x) 1
         for prod in ("sigma", "alpha"):
             got = getattr(ab, prod)(tensor(a, b, fa, b.unit), tensor(a, b, ga, b.unit))
             want = tensor(a, b, getattr(a, prod)(fa, ga), b.unit)
-            law(i, f"{prod}-unit-absorption", ab.decompose(got), ab.decompose(want))
+            law(i, f"{prod}-unit-absorption", ab, got, want)
     return rep
 
 
@@ -482,15 +466,11 @@ def single_product_triviality(a: Carrier, count: int = 50, seed: int = 0) -> Ide
     bip = compose_bipartite(a, a)
     for i in range(count):
         f, g = a.sample(rng), a.sample(rng)
-        ansatz = tensor(a, a, a.alpha(f, g), a.alpha(a.unit, a.unit))
-        r = bip.residual(ansatz)
-        rep.max_residual = max(rep.max_residual, r)
-        if r > a.tol:
-            rep.failures.append({"sample": i, "residual": r})
+        _judge(rep, bip, tensor(a, a, a.alpha(f, g), a.alpha(a.unit, a.unit)), sample=i)
     # control: sigma restored, bracket of canonical pair survives composition
     dof = a.unit.dof
     probe = bip.alpha(tensor(a, a, PhasePoly.q(1, dof), a.unit), tensor(a, a, PhasePoly.p(1, dof), a.unit))
-    if bip.residual(probe) <= bip.tol:
+    if bip.is_zero(probe):
         rep.failures.append({"sample": -1, "note": "control bracket vanished"})
     return rep
 

@@ -19,7 +19,7 @@ from math import pi, sqrt
 import numpy as np
 
 from .errors import DegreeExceedsGrid, QuadratureDivergence
-from .hilbert import hermitian_eigenvalues, spectral_norm
+from .hilbert import cstar_check, hermitian_eigenvalues
 from .phasepoly import PhasePoly, _to_complex
 
 
@@ -139,7 +139,7 @@ class QuadratureGrid:
     weights: np.ndarray  # outer product, shape (len(qs), len(ps))
 
 
-def build_grid(hbar: float, N: int, max_poly_degree: int, nodes_1d: int = 0) -> QuadratureGrid:
+def build_grid(hbar: float, N: int, max_poly_degree: int) -> QuadratureGrid:
     """Grid wide enough for the N-level coherent family and degree cap.
 
     Radial cutoff R = 1.5 sqrt(2 hbar (N + degree)); the integrand decays
@@ -147,8 +147,7 @@ def build_grid(hbar: float, N: int, max_poly_degree: int, nodes_1d: int = 0) -> 
     stated tolerances.
     """
     R = 1.5 * sqrt(2.0 * hbar * (N + max_poly_degree))
-    nodes_1d = nodes_1d or 6 * N + 20
-    t, w = np.polynomial.legendre.leggauss(nodes_1d)
+    t, w = np.polynomial.legendre.leggauss(6 * N + 20)
     xs = R * t
     ws = R * w
     return QuadratureGrid(R, max_poly_degree, xs, xs.copy(), np.outer(ws, ws))
@@ -196,10 +195,7 @@ def positivity_preservation(qf: np.ndarray, tol: float = 1e-9) -> bool:
 
 def cstar_on_quantized(qf: np.ndarray, rtol: float = 1e-8) -> bool:
     """||T* T|| = ||T||^2 on the trusted block."""
-    t = trusted(qf)
-    lhs = spectral_norm(t.conj().T @ t)
-    rhs = spectral_norm(t) ** 2
-    return abs(lhs - rhs) <= rtol * max(1.0, rhs)
+    return cstar_check(trusted(qf), rtol)
 
 
 def ladder_position_oracle(hbar: float, N: int) -> np.ndarray:

@@ -131,9 +131,9 @@ def cstar_check(t: np.ndarray, rtol: float = 1e-10) -> bool:
 # Carrier over Hermitian matrices
 # ---------------------------------------------------------------------------
 
-def sample_hermitian(rng: random.Random, dim: int, scale: float = 2.0) -> np.ndarray:
+def sample_hermitian(rng: random.Random, dim: int) -> np.ndarray:
     m = np.array(
-        [[complex(rng.gauss(0, scale), rng.gauss(0, scale)) for _ in range(dim)]
+        [[complex(rng.gauss(0, 2.0), rng.gauss(0, 2.0)) for _ in range(dim)]
          for _ in range(dim)]
     )
     return 0.5 * (m + m.conj().T)
@@ -255,14 +255,14 @@ def nijenhuis_constant_J(triple: KahlerTriple, r: VectorField, s: VectorField) -
 # Normalization preservation under J-commuting symplectic maps
 # ---------------------------------------------------------------------------
 
-def sample_compatible_symplectic(rng: random.Random, n: int, scale: float = 0.5) -> np.ndarray:
+def sample_compatible_symplectic(rng: random.Random, n: int) -> np.ndarray:
     """exp(K) with K in the symplectic algebra and commuting with J.
 
     K is the real embedding of an anti-Hermitian n x n complex matrix, so
     exp(K) is in the unitary subgroup U(n) = Sp(2n) ∩ O(2n).
     """
     h = np.array(
-        [[complex(rng.gauss(0, scale), rng.gauss(0, scale)) for _ in range(n)]
+        [[complex(rng.gauss(0, 0.5), rng.gauss(0, 0.5)) for _ in range(n)]
          for _ in range(n)]
     )
     h = 0.5 * (h - h.conj().T)  # anti-Hermitian
@@ -270,14 +270,14 @@ def sample_compatible_symplectic(rng: random.Random, n: int, scale: float = 0.5)
     return _expm(k)
 
 
-def _expm(k: np.ndarray, terms: int = 40) -> np.ndarray:
+def _expm(k: np.ndarray) -> np.ndarray:
     # scaling and squaring with a truncated series; K is small and well scaled
     norm = float(np.max(np.abs(k)))
     s = max(0, int(np.ceil(np.log2(max(norm, 1e-16)))) + 2)
     a = k / (2**s)
     out = np.eye(k.shape[0])
     term = np.eye(k.shape[0])
-    for i in range(1, terms):
+    for i in range(1, 40):
         term = term @ a / i
         out = out + term
     for _ in range(s):

@@ -267,12 +267,12 @@ def dirac_current_check(q: Quantion, rep: GammaRep, tol: float = 1e-12) -> bool:
     return float(np.max(np.abs(lhs - j))) <= tol * max(1.0, float(np.max(np.abs(lhs))))
 
 
-def _probe_set(seed: int, count: int = 20) -> list:
+def _probe_set(seed: int) -> list:
     rng = random.Random(seed)
-    return [sample_quantion(rng) for _ in range(count)]
+    return [sample_quantion(rng) for _ in range(20)]
 
 
-def rep_discovery(seed: int = 0, count: int = 20) -> GammaRep:
+def rep_discovery(seed: int = 0) -> GammaRep:
     """The unique candidate family reproducing the current on a probe set.
 
     Candidates related by an overall spatial reflection act identically on
@@ -280,7 +280,7 @@ def rep_discovery(seed: int = 0, count: int = 20) -> GammaRep:
     winner reported is the lexicographically first passing label, and a
     disjoint probe set must reproduce it.
     """
-    probes = _probe_set(seed, count)
+    probes = _probe_set(seed)
     winners = []
     for rep in candidate_reps():
         if all(dirac_current_check(q, rep, 1e-9) for q in probes):
@@ -289,7 +289,7 @@ def rep_discovery(seed: int = 0, count: int = 20) -> GammaRep:
         raise NoRepFound("no candidate gamma family matches the current")
     winners.sort(key=lambda r: r.label)
     best = winners[0]
-    recheck = _probe_set(seed + 1, count)
+    recheck = _probe_set(seed + 1)
     if not all(dirac_current_check(q, best, 1e-9) for q in recheck):
         raise NoRepFound("discovered representation unstable across probe sets")
     return best
@@ -395,9 +395,9 @@ def t_fixed_is_quaternion(q: Quantion, tol: float = 1e-12) -> bool:
     )
 
 
-def fixed_set_closed_under_mul(kind: str, rng: random.Random, count: int = 50, tol: float = 1e-10) -> bool:
-    """Random products of fixed-set members stay in the set (P and T cases)."""
-    for _ in range(count):
+def fixed_set_closed_under_mul(kind: str, rng: random.Random) -> bool:
+    """Fifty random products of fixed-set members stay in the set (P and T cases)."""
+    for _ in range(50):
         if kind == "P":
             lam1 = complex(rng.gauss(0, 1), rng.gauss(0, 1))
             lam2 = complex(rng.gauss(0, 1), rng.gauss(0, 1))
@@ -414,6 +414,6 @@ def fixed_set_closed_under_mul(kind: str, rng: random.Random, count: int = 50, t
             y = Quantion(a2, b2, -b2.conjugate(), a2.conjugate())
         else:
             raise ValueError("kind must be 'P' or 'T'")
-        if kind not in cpt_fixed_points(q_mul(x, y), tol):
+        if kind not in cpt_fixed_points(q_mul(x, y), 1e-10):
             return False
     return True

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import numpy as np
@@ -40,6 +41,15 @@ def test_identities_dof2():
     carrier = phase_poly_carrier(ELLIPTIC, Fraction(2), dof=2, max_degree=3)
     for rep in check_all_identities(carrier, count=8, seed=2):
         assert rep.passed and rep.max_residual == 0.0
+
+
+def test_identity_order_is_pinned():
+    # check_all_identities seeds identity k with seed + k, so this order fixes every report
+    assert IDENTITIES == (
+        "leibniz-sigma", "leibniz-alpha", "jacobi", "jordan", "compatibility",
+        "skew-alpha", "sym-sigma", "unitality", "relationality",
+    )
+    assert set(IDENTITIES) == set(algebra.IDENTITY_ARITY)
 
 
 def test_identity_report_shape():
@@ -363,3 +373,129 @@ def test_monoid_tolerance_scales_with_float_coefficients():
     off = dataclasses.replace(big, unit=(1 + 1e-6) * m.unit)
     rep = check_monoid(off, off, off, count=5, seed=25)
     assert {f["law"] for f in rep.failures} == {"sigma-unit-absorption", "alpha-unit-absorption"}
+
+
+def _reference_check_identity(carrier, identity, count, seed):
+    """check_identity with its own judging loop, as it was before the shared
+    ``_judge``: the oracle for failures and max_residual."""
+    rng = random.Random(seed)
+    rep = algebra.IdentityReport(identity, carrier.name, count)
+    for i in range(count):
+        elems = tuple(carrier.sample(rng) for _ in range(algebra.IDENTITY_ARITY[identity]))
+        for defect, summands in algebra._defects(carrier, identity, elems):
+            r = carrier.residual(defect)
+            rep.max_residual = max(rep.max_residual, r)
+            scale = max(1.0, *map(carrier.residual, summands)) if carrier.tol else 1.0
+            if r > carrier.tol * scale:
+                rep.failures.append({"sample": i, "residual": r, "witness": repr(elems)})
+    return rep
+
+
+def _reference_check_monoid(a, b, c, count, seed):
+    """check_monoid as it was before the shared ``_judge``: each law compares
+    the decomposed sides as Fraction dicts over their key union, at the
+    largest tolerance of the three factors."""
+    ab, ba = compose_bipartite(a, b), compose_bipartite(b, a)
+    ab_c = compose_bipartite(ab, c)
+    bc = compose_bipartite(b, c)
+    a_bc = compose_bipartite(a, bc)
+    rng = random.Random(seed)
+    rep = algebra.IdentityReport("monoid", f"{a.name},{b.name},{c.name}", count)
+    tol = max(a.tol, b.tol, c.tol)
+    mag = algebra._magnitude
+
+    def law(i, name, d1, d2):
+        r = max((mag(d1.get(k, 0) - d2.get(k, 0)) for k in d1.keys() | d2.keys()), default=0.0)
+        rep.max_residual = max(rep.max_residual, r)
+        scale = max([1.0, *map(mag, chain(d1.values(), d2.values()))]) if tol else 1.0
+        if r > tol * scale:
+            rep.failures.append({"sample": i, "law": name, "residual": r})
+
+    for i in range(count):
+        fa, fb, fc = a.sample(rng), b.sample(rng), c.sample(rng)
+        ga, gb, gc = a.sample(rng), b.sample(rng), c.sample(rng)
+        for prod in ("sigma", "alpha"):
+            d12 = ab.decompose(getattr(ab, prod)(tensor(a, b, fa, fb), tensor(a, b, ga, gb)))
+            d21 = ba.decompose(getattr(ba, prod)(tensor(b, a, fb, fa), tensor(b, a, gb, ga)))
+            law(i, f"{prod}-commutativity", d12, {(k[1], k[0]): v for k, v in d21.items()})
+        left_f = tensor(ab, c, tensor(a, b, fa, fb), fc)
+        left_g = tensor(ab, c, tensor(a, b, ga, gb), gc)
+        right_f = tensor(a, bc, fa, tensor(b, c, fb, fc))
+        right_g = tensor(a, bc, ga, tensor(b, c, gb, gc))
+        for prod in ("sigma", "alpha"):
+            dl = ab_c.decompose(getattr(ab_c, prod)(left_f, left_g))
+            dl = {(ka, (kb, kc)): v for ((ka, kb), kc), v in dl.items()}
+            law(i, f"{prod}-associativity", dl, a_bc.decompose(getattr(a_bc, prod)(right_f, right_g)))
+        for prod in ("sigma", "alpha"):
+            got = getattr(ab, prod)(tensor(a, b, fa, b.unit), tensor(a, b, ga, b.unit))
+            want = tensor(a, b, getattr(a, prod)(fa, ga), b.unit)
+            law(i, f"{prod}-unit-absorption", ab.decompose(got), ab.decompose(want))
+    return rep
+
+
+def _big_matrix():
+    m = matrix_carrier(2)
+    return dataclasses.replace(m, sample=lambda rng: 1000 * m.sample(rng))
+
+
+def _off_unit_matrix():
+    big = _big_matrix()
+    return dataclasses.replace(big, unit=(1 + 1e-6) * big.unit)
+
+
+def _perturbed_alpha_matrix(dim):
+    m = matrix_carrier(dim)
+    return dataclasses.replace(m, alpha=lambda x, y: m.alpha(x, y) + 1e-9 * (x @ y))
+
+
+def _symmetric_part_phase(cls):
+    """alpha plus sigma: skew-alpha fails, exactly."""
+    c = phase_poly_carrier(cls, Fraction(2), 1, 2)
+    return dataclasses.replace(c, alpha=lambda x, y: c.alpha(x, y) + c.sigma(x, y))
+
+
+def _off_unit_phase(cls):
+    c = phase_poly_carrier(cls, Fraction(2), 1, 2)
+    return dataclasses.replace(c, unit=PhasePoly.const(2, 1))
+
+
+# name -> (carrier factory, samples per law, whether some law must fail)
+JUDGE_CASES = {
+    **{f"exact-{cls}": (lambda cls=cls: phase_poly_carrier(cls, Fraction(2), 1, 2), 3, False) for cls in CLASSES},
+    **{f"exact-symmetric-alpha-{cls}": (lambda cls=cls: _symmetric_part_phase(cls), 3, True) for cls in CLASSES},
+    **{f"exact-off-unit-{cls}": (lambda cls=cls: _off_unit_phase(cls), 3, True) for cls in CLASSES},
+    "matrix-x1000": (_big_matrix, 5, False),
+    "matrix-off-unit": (_off_unit_matrix, 5, True),
+    "matrix2-perturbed-alpha": (lambda: _perturbed_alpha_matrix(2), 5, True),
+    "matrix16-perturbed-alpha": (lambda: _perturbed_alpha_matrix(16), 5, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JUDGE_CASES))
+def test_check_identity_matches_reference_loop(case):
+    make, count, fails = JUDGE_CASES[case]
+    carrier = make()
+    failed = False
+    for k, ident in enumerate(IDENTITIES):
+        got = check_identity(carrier, ident, count, 26 + k)
+        want = _reference_check_identity(carrier, ident, count, 26 + k)
+        assert (got.failures, got.max_residual) == (want.failures, want.max_residual), ident
+        failed |= bool(got.failures)
+    assert failed == fails
+
+
+@pytest.mark.parametrize("case", sorted(k for k in JUDGE_CASES if k != "matrix16-perturbed-alpha"))
+def test_check_monoid_matches_reference_laws(case):
+    """Each law as one defect on its composite gives the key-union comparison's
+    failures, in order, and its max_residual, bit for bit."""
+    make, count, fails = JUDGE_CASES[case]
+    c = make()
+    got = check_monoid(c, c, c, count=count, seed=27)
+    want = _reference_check_monoid(c, c, c, count=count, seed=27)
+    assert got.failures == want.failures
+    assert got.max_residual == want.max_residual
+    assert bool(got.failures) == fails
+    if case == "matrix-x1000":
+        assert got.max_residual > 0.0
+    if "off-unit" in case:
+        assert {f["law"] for f in got.failures} == {"sigma-unit-absorption", "alpha-unit-absorption"}

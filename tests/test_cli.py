@@ -1,5 +1,7 @@
+import ast
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -232,3 +234,47 @@ def test_falsify_suite_counts_the_sweeps_that_ran(monkeypatch):
     assert suite["samples"] == 3 + 50 + 3 + 3
     assert suite["verdict"] == "fail" and suite["expected"] == "fail"
     assert suite["witness"] == [{"a": "1", "counterexamples": 1}, {"a": "1/2", "counterexamples": 1}]
+
+
+@pytest.mark.parametrize("line", ["seed = abc", "pair_count = x", "hbar = 1/0"])
+def test_malformed_config_value_is_a_config_error(tmp_path, capsys, line):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"# malformed value\n{line}\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2:") and "Traceback" not in err
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _gated_suites(source: str) -> set:
+    """Suite names the benchmark's verify gate reads: EXACT_SUITES, the first
+    field of each witness check, and every literal tested with `in suites`."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in ("EXACT_SUITES", "checks") for t in node.targets
+        ):
+            for elt in node.value.elts:
+                names.add(ast.literal_eval(elt.elts[0] if isinstance(elt, ast.Tuple) else elt))
+        elif (isinstance(node, ast.Compare) and isinstance(node.left, ast.Constant)
+              and isinstance(node.ops[0], ast.In)
+              and isinstance(node.comparators[0], ast.Name) and node.comparators[0].id == "suites"):
+            names.add(node.left.value)
+    return names
+
+
+def test_gate_rule_catches_a_renamed_suite():
+    source = WORKLOADS.read_text()
+    names = _gated_suites(source)
+    assert {"composition-monoid", "falsify-nonzero-a", "ghost-hyperbolic", "minimizer-no-go",
+            "quantions", "positivity-elliptic"} <= names
+    assert _gated_suites('if "x-suite" in suites:\n    pass\n') == {"x-suite"}
+    for old in ("minimizer-no-go", "composition-monoid", "falsify-nonzero-a"):
+        renamed = _gated_suites(source.replace(f'"{old}"', '"renamed-suite"'))
+        assert renamed - set(SUITES) == {"renamed-suite"}, old
+
+
+def test_benchmark_gate_names_only_registered_suites():
+    assert _gated_suites(WORKLOADS.read_text()) - set(SUITES) == set()
