@@ -101,25 +101,12 @@ class IdentityReport:
     failures: list = field(default_factory=list)
     max_residual: float = 0.0
     expected: str = "pass"
-    note: str = ""
 
     @property
     def passed(self) -> bool:
         if self.expected == "fail":
             return bool(self.failures)
         return not self.failures
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.identity,
-            "carrier": self.carrier,
-            "samples": self.samples,
-            "expected": self.expected,
-            "verdict": "pass" if self.passed else "fail",
-            "failures": self.failures,
-            "max_residual": self.max_residual,
-            "note": self.note,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +433,6 @@ def falsify_nonzero_a(
     carrier = compose_bipartite(a, b, extra_a=extra_a)
     rep = check_identity(carrier, "leibniz-alpha", count=count, seed=seed)
     rep.expected = "fail" if extra_a else "pass"
-    rep.note = f"a={extra_a}"
     if extra_a and not rep.failures:
         raise UnexpectedPass(
             f"no Leibniz counterexample for a={extra_a}; widen sampler degrees"

@@ -13,13 +13,12 @@ concentrates in the top half.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import pi, sqrt
 
 import numpy as np
 
 from .errors import DegreeExceedsGrid, QuadratureDivergence
-from .hilbert import cstar_check, hermitian_eigenvalues
+from .hilbert import hermitian_eigenvalues
 from .phasepoly import PhasePoly, _to_complex
 
 
@@ -31,11 +30,6 @@ class CoherentState:
     q: float
     hbar: float
     coeffs: np.ndarray  # complex, length N
-
-    @property
-    def truncation_gap(self) -> float:
-        """1 - ||coeffs||^2; shrinks with N for fixed (p, q, hbar)."""
-        return 1.0 - float(np.sum(np.abs(self.coeffs) ** 2))
 
 
 def _reduced_hermite_rows(x: np.ndarray, n_levels: int, hbar: float) -> np.ndarray:
@@ -111,19 +105,6 @@ def _cross_check_poisson(state: CoherentState, tol: float = 1e-9):
         raise QuadratureDivergence(f"quadrature disagrees with closed form by {err}")
 
 
-def coherent_overlap(a: CoherentState, b: CoherentState) -> complex:
-    """<a|b> from the truncated expansions."""
-    return complex(np.conj(a.coeffs) @ b.coeffs)
-
-
-def gaussian_overlap_oracle(a: CoherentState, b: CoherentState) -> complex:
-    """Closed-form coherent overlap exp(conj(alpha) beta - (|alpha|^2+|beta|^2)/2)."""
-    h = a.hbar
-    al = (a.q + 1j * a.p) / sqrt(2.0 * h)
-    be = (b.q + 1j * b.p) / sqrt(2.0 * h)
-    return complex(np.exp(np.conj(al) * be - (abs(al) ** 2 + abs(be) ** 2) / 2.0))
-
-
 # ---------------------------------------------------------------------------
 # Quantization by product quadrature
 # ---------------------------------------------------------------------------
@@ -191,11 +172,6 @@ def positivity_preservation(qf: np.ndarray, tol: float = 1e-9) -> bool:
     block = trusted(qf)
     h = 0.5 * (block + block.conj().T)
     return float(np.min(hermitian_eigenvalues(h))) >= -tol
-
-
-def cstar_on_quantized(qf: np.ndarray, rtol: float = 1e-8) -> bool:
-    """||T* T|| = ||T||^2 on the trusted block."""
-    return cstar_check(trusted(qf), rtol)
 
 
 def ladder_position_oracle(hbar: float, N: int) -> np.ndarray:

@@ -10,6 +10,7 @@ recorded with verdict "error" and the other suites still run.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -22,11 +23,18 @@ from math import pi
 import numpy as np
 
 from . import __version__, algebra, envariance, hilbert, moyalpos, quantion
-from .errors import CompalgError, ConfigError, SchemaMismatch, UnexpectedPass
-from .phasepoly import CLASSES, ELLIPTIC, PhasePoly, alpha, hbar_zero_limit, poisson
+from .errors import (
+    CompalgError,
+    ConfigError,
+    PreconditionViolated,
+    SchemaMismatch,
+    UnexpectedPass,
+)
+from .phasepoly import CLASSES, ELLIPTIC, PhasePoly, hbar_zero_limit, poisson
 from .scalars import (
     SplitComplex,
     check_polarization_parallelogram,
+    check_reversed_triangle,
     minimizer_nonuniqueness_witness,
     para_cauchy_schwarz_holds,
     revalidate_witness,
@@ -95,6 +103,9 @@ def _validate(cfg: SuiteConfig):
             raise ConfigError(f"unknown suite {s!r}")
     if cfg.format not in ("json", "md"):
         raise ConfigError(f"unknown format {cfg.format!r}")
+    # every class needs a positive hbar; the hbar -> 0 limit is deformation-limit's own
+    if any(h <= 0 for h in cfg.hbar):
+        raise ConfigError("hbar must be positive")
 
 
 def config_echo(cfg: SuiteConfig) -> dict:
@@ -241,7 +252,7 @@ def _suite_positivity(cfg: SuiteConfig, seed: int):
 def _suite_split_geometry(cfg: SuiteConfig, seed: int):
     rng = random.Random(seed)
     bad = []
-    checked_cs = 0
+    admissible = {"cauchy-schwarz": 0, "triangle": 0}
     for i in range(cfg.pair_count):
         x = SplitComplex(Fraction(rng.randint(-20, 20), rng.randint(1, 4)),
                          Fraction(rng.randint(-20, 20), rng.randint(1, 4)))
@@ -250,15 +261,19 @@ def _suite_split_geometry(cfg: SuiteConfig, seed: int):
         pol, par = check_polarization_parallelogram(x, y)
         if not (pol and par):
             bad.append({"sample": i})
-        try:
-            if not para_cauchy_schwarz_holds(x, y):
-                bad.append({"sample": i, "law": "cauchy-schwarz"})
-            checked_cs += 1
-        except CompalgError:
-            pass
+        for law, check in (("cauchy-schwarz", para_cauchy_schwarz_holds),
+                           ("triangle", check_reversed_triangle)):
+            try:
+                holds = check(x, y)
+            except PreconditionViolated:  # the pair is outside the inequality's domain
+                continue
+            admissible[law] += 1
+            if not holds:
+                bad.append({"sample": i, "law": law})
     return _result(
-        "split-complex-geometry", not bad, cfg.pair_count,
-        bad, extra={"cauchy_schwarz_admissible": checked_cs},
+        "split-complex-geometry", not bad, cfg.pair_count, bad,
+        extra={"cauchy_schwarz_admissible": admissible["cauchy-schwarz"],
+               "triangle_admissible": admissible["triangle"]},
     )
 
 
@@ -339,8 +354,14 @@ def _suite_quantions(cfg: SuiteConfig, seed: int):
         qn = quantion.sample_quantion(rng)
         if not quantion.dirac_current_check(qn, rep, 1e-12):
             bad.append({"sample": i, "law": "dirac-current"})
+    # both sides are linear in P, so the monomials of x0..x3 up to degree 4
+    # prove the factorization for every polynomial of degree <= 4
+    monomials = [e for e in itertools.product(range(5), repeat=4) if sum(e) <= 4]
+    for e in monomials:
+        if not quantion.dalembertian_factorization(PhasePoly(2, {e: Fraction(1)})):
+            bad.append({"law": "factorization", "monomial": list(e)})
     return _result(
-        "quantions", not bad, 2 * cfg.pair_count, bad,
+        "quantions", not bad, 2 * cfg.pair_count + len(monomials), bad,
         extra={"gamma_rep": rep.label},
     )
 

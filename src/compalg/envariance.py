@@ -42,11 +42,6 @@ def random_state(rng: random.Random, d1: int, d2: int) -> PureState:
     return PureState((d1, d2), v / np.linalg.norm(v))
 
 
-def product_state(left: np.ndarray, right: np.ndarray) -> PureState:
-    v = np.kron(left / np.linalg.norm(left), right / np.linalg.norm(right))
-    return PureState((len(left), len(right)), v)
-
-
 def bell_state() -> PureState:
     v = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0)
     return PureState((2, 2), v)

@@ -209,8 +209,8 @@ def positivity_functional(
     the test function sits on the side of F that the ground state
     annihilates under this sign convention for the bidifferential.
     The full chain needs F to be a star-idempotent, which the Gaussian is
-    only for the elliptic product; the purity-free part of the chain is
-    exposed separately as chain_identity_check and holds in both classes.
+    only for the elliptic product.  The lattice sweeps check the same
+    equality on the whole Gram matrix over {1, q, p} (_gram).
     """
     hbar = Fraction(hbar)
     val, pexp = integrate(F)
@@ -229,23 +229,6 @@ def positivity_functional(
         if (out, 0 if out == 0 else out_pexp) != (rhs, 0 if rhs == 0 else rhs_pexp):
             raise AssertionError("chain equality failed")
     return out
-
-
-def chain_identity_check(
-    F: GaussPoly, g: PhasePoly, cls: str, hbar: Fraction = Fraction(2)
-) -> bool:
-    """integral (g* star g) F = integral g-bar (g star F), pointwise, exact.
-
-    This is the associativity-plus-trace part of the positivity chain; it
-    holds in both classes, with the indefinite involution in the
-    hyperbolic one.  The remaining elliptic-only step (pulling out
-    2 pi hbar via star-idempotence of F) lives in positivity_functional.
-    """
-    hbar = Fraction(hbar)
-    lhs = integrate(F.mul_poly(star(poly_conj(g), g, cls, hbar)))
-    gF = star_gp(F, g, "right", cls, hbar)
-    rhs = integrate(gF.mul_poly(poly_conj(g)))
-    return lhs == rhs
 
 
 @dataclass(frozen=True)

@@ -39,17 +39,8 @@ class Quantion:
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.a, self.c], [self.b, self.d]], dtype=complex)
 
-    def as_block(self) -> np.ndarray:
-        """The 4x4 block-diagonal embedding diag(q, q)."""
-        m = self.as_matrix()
-        out = np.zeros((4, 4), dtype=complex)
-        out[:2, :2] = m
-        out[2:, 2:] = m
-        return out
-
 
 Q_ONE = Quantion(1, 0, 0, 1)
-Q_ZERO = Quantion(0, 0, 0, 0)
 
 
 def _conj(z):
@@ -82,27 +73,6 @@ def q_sharp(x: Quantion) -> Quantion:
 
 def q_det(x: Quantion):
     return x.a * x.d - x.b * x.c
-
-
-def zero_divisor_witness() -> tuple:
-    """Nonzero pair multiplying to zero: the algebra is not a division ring."""
-    x = Quantion(1, 0, 0, 0)
-    y = Quantion(0, 0, 0, 1)
-    prod = q_mul(x, y)
-    if not (prod == Q_ZERO and x != Q_ZERO and y != Q_ZERO):
-        raise AssertionError("not a pair of nonzero zero divisors")
-    return x, y
-
-
-def embedding_consistent(x: Quantion, y: Quantion, tol: float = 1e-12) -> bool:
-    """Block-diagonal 4x4 ops agree with reduced-form ops."""
-    lhs = q_mul(x, y).as_block()
-    rhs = x.as_block() @ y.as_block()
-    dag = q_dagger(x).as_block()
-    return (
-        float(np.max(np.abs(lhs - rhs))) <= tol
-        and float(np.max(np.abs(dag - x.as_block().conj().T))) <= tol
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -142,24 +112,12 @@ def anorm(q: Quantion) -> FourVector:
     return FourVector(t, x, y, z)
 
 
-def mnorm(q: Quantion):
-    """Metric norm Q#Q = det(q) I; returns the determinant."""
-    m = q_mul(q_sharp(q), q)
-    if not (m.b == 0 and m.c == 0 and m.a == m.d):
-        raise AssertionError("Q#Q is not a multiple of the identity")
-    return m.a
-
-
 def norms_commute(q: Quantion, tol: float = 1e-12) -> bool:
     """A(M(Q)) = M(A(Q)) as matrices: both equal |det q|^2 I."""
     am = q_mul(q_dagger(q_mul(q_sharp(q), q)), q_mul(q_sharp(q), q))
     ma = q_mul(q_sharp(q_mul(q_dagger(q), q)), q_mul(q_dagger(q), q))
     diff = am.as_matrix() - ma.as_matrix()
     return float(np.max(np.abs(diff))) <= tol
-
-
-def det_multiplicativity(x: Quantion, y: Quantion, tol: float = 1e-12) -> bool:
-    return abs(abs(q_det(q_mul(x, y))) - abs(q_det(x)) * abs(q_det(y))) <= tol
 
 
 def sample_quantion(rng: random.Random, scale: float = 2.0) -> Quantion:
@@ -181,12 +139,6 @@ def to_spinor(q: Quantion) -> np.ndarray:
     return np.array(
         [q.c, -q.a, _conj(q.b), _conj(q.d)], dtype=complex
     ) / SQRT2
-
-
-def from_spinor(psi: np.ndarray) -> Quantion:
-    """Inverse of to_spinor."""
-    c, ma, bs, ds = (psi * SQRT2).tolist()
-    return Quantion(-ma, bs.conjugate(), c, ds.conjugate())
 
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -352,68 +304,3 @@ def dalembertian_factorization(P: PhasePoly) -> bool:
     out = np_sharp_apply(np_apply(P))
     return out[0] == bp and out[1] == bp
 
-
-# ---------------------------------------------------------------------------
-# CPT fixed-point subalgebras
-# ---------------------------------------------------------------------------
-
-def cpt_fixed_points(q: Quantion, tol: float = 1e-12) -> tuple:
-    """Which of the involution fixed-point sets q inhabits.
-
-    C-fixed (q† = q): Hermitian matrices, Minkowski space via anorm basis.
-    P-fixed (q# = q): b = c = 0 and a = d, a complex line.
-    T-fixed ((q†)# = q): d = a*, c = -b*, the real quaternions.
-    """
-    labels = []
-    m = q.as_matrix()
-
-    def close(x, y):
-        return float(np.max(np.abs(x - y))) <= tol
-
-    if close(q_dagger(q).as_matrix(), m):
-        labels.append("C")
-    if close(q_sharp(q).as_matrix(), m):
-        labels.append("P")
-    if close(q_sharp(q_dagger(q)).as_matrix(), m):
-        labels.append("T")
-    return tuple(labels)
-
-
-def p_fixed_is_complex_line(q: Quantion, tol: float = 1e-12) -> bool:
-    """P-fixed quantions have b = c = 0 and a = d."""
-    if "P" not in cpt_fixed_points(q, tol):
-        raise ValueError("not P-fixed")
-    return abs(q.b) <= tol and abs(q.c) <= tol and abs(q.a - q.d) <= tol
-
-
-def t_fixed_is_quaternion(q: Quantion, tol: float = 1e-12) -> bool:
-    """T-fixed quantions satisfy d = a*, c = -b* (quaternion parametrization)."""
-    if "T" not in cpt_fixed_points(q, tol):
-        raise ValueError("not T-fixed")
-    return (
-        abs(q.d - _conj(q.a)) <= tol and abs(q.c + _conj(q.b)) <= tol
-    )
-
-
-def fixed_set_closed_under_mul(kind: str, rng: random.Random) -> bool:
-    """Fifty random products of fixed-set members stay in the set (P and T cases)."""
-    for _ in range(50):
-        if kind == "P":
-            lam1 = complex(rng.gauss(0, 1), rng.gauss(0, 1))
-            lam2 = complex(rng.gauss(0, 1), rng.gauss(0, 1))
-            x = Quantion(lam1, 0, 0, lam1)
-            y = Quantion(lam2, 0, 0, lam2)
-        elif kind == "T":
-            a1, b1 = complex(rng.gauss(0, 1), rng.gauss(0, 1)), complex(
-                rng.gauss(0, 1), rng.gauss(0, 1)
-            )
-            a2, b2 = complex(rng.gauss(0, 1), rng.gauss(0, 1)), complex(
-                rng.gauss(0, 1), rng.gauss(0, 1)
-            )
-            x = Quantion(a1, b1, -b1.conjugate(), a1.conjugate())
-            y = Quantion(a2, b2, -b2.conjugate(), a2.conjugate())
-        else:
-            raise ValueError("kind must be 'P' or 'T'")
-        if kind not in cpt_fixed_points(q_mul(x, y), 1e-10):
-            return False
-    return True

@@ -2,13 +2,13 @@
 
 Rationals (``fractions.Fraction``), complex-over-rational, split-complex
 and dual numbers, plus the indefinite para-geometry of the split-complex
-plane: polar branches, the signed seminorm, the reversed triangle
+plane: the signed square and its quadrants, the polarization and
+parallelogram identities, para-Cauchy-Schwarz, the reversed triangle
 inequality, and the minimizer non-uniqueness witness.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -146,9 +146,6 @@ class ComplexRational(_Pair):
     _unit_sq = Fraction(-1)
     _symbol = "i"
 
-    def abs_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
 
 J_SPLIT = SplitComplex(0, 1)
 EPS_DUAL = DualNumber(0, 1)
@@ -164,12 +161,6 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def para_seminorm(z: SplitComplex) -> float:
-    """Indefinite seminorm sign(z*z) * sqrt(|z*z|); sign(0) := 0."""
-    n = para_square(z)
-    return _sign(n) * math.sqrt(abs(n))
-
-
 class Branch(Enum):
     POS_REAL = "pos-real"
     POS_IMAG = "pos-imag"
@@ -178,56 +169,14 @@ class Branch(Enum):
     NULL_CONE = "null-cone"
 
 
-@dataclass(frozen=True)
-class PolarBranch:
-    branch: Branch
-    rho: float
-    theta: float
-
-
 def quadrant_of(z: SplitComplex) -> Branch:
-    """Which polar branch z lies in; the null cone when |re| = |im|."""
+    """Which quadrant z lies in; the null cone when |re| = |im|."""
     x, y = z.re, z.im
     if abs(x) == abs(y):
         return Branch.NULL_CONE
     if abs(x) > abs(y):
         return Branch.POS_REAL if x > 0 else Branch.NEG_REAL
     return Branch.POS_IMAG if y > 0 else Branch.NEG_IMAG
-
-
-def hyperbolic_polar(z: SplitComplex) -> PolarBranch:
-    """Four-branch hyperbolic polar decomposition.
-
-    pos-real:  z = +rho (cosh t + j sinh t)
-    pos-imag:  z = +rho (sinh t + j cosh t)
-    neg-real:  z = -rho (cosh t + j sinh t)
-    neg-imag:  z = -rho (sinh t + j cosh t)
-    Null-cone inputs get rho = 0 and theta = 0.
-    """
-    branch = quadrant_of(z)
-    if branch is Branch.NULL_CONE:
-        return PolarBranch(branch, 0.0, 0.0)
-    x, y = float(z.re), float(z.im)
-    rho = math.sqrt(abs(x * x - y * y))
-    if branch in (Branch.POS_REAL, Branch.NEG_REAL):
-        theta = math.atanh(y / x)
-    else:
-        theta = math.atanh(x / y)
-    return PolarBranch(branch, rho, theta)
-
-
-def polar_reconstruct(pb: PolarBranch) -> tuple[float, float]:
-    """(re, im) of the split-complex number a PolarBranch describes."""
-    c, s = math.cosh(pb.theta), math.sinh(pb.theta)
-    if pb.branch is Branch.POS_REAL:
-        return pb.rho * c, pb.rho * s
-    if pb.branch is Branch.NEG_REAL:
-        return -pb.rho * c, -pb.rho * s
-    if pb.branch is Branch.POS_IMAG:
-        return pb.rho * s, pb.rho * c
-    if pb.branch is Branch.NEG_IMAG:
-        return -pb.rho * s, -pb.rho * c
-    return 0.0, 0.0
 
 
 def check_polarization_parallelogram(

@@ -245,6 +245,44 @@ def test_malformed_config_value_is_a_config_error(tmp_path, capsys, line):
     assert err.startswith("error: line 2:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("hbar", ["0", "-1"])
+def test_non_positive_hbar_is_a_config_error(tmp_path, capsys, hbar):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"suites = positivity-elliptic, ghost-hyperbolic\nhbar = {hbar}\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: hbar must be positive\n"
+
+
+def test_quantions_suite_checks_the_factorization(monkeypatch):
+    from compalg import quantion
+
+    (suite,) = run(fast_cfg(suites=["quantions"]))["suites"]
+    # 20 + 20 sampled quantions and the 70 monomials of degree <= 4 in x0..x3
+    assert suite["verdict"] == "pass" and suite["samples"] == 2 * 20 + 70
+
+    ops = quantion._np_ops
+
+    def flipped(P):  # delta-bar = d1 + i d2, the sign of its i d2 flipped
+        D, delta, _, Delta = ops(P)
+        return D, delta, delta, Delta
+
+    monkeypatch.setattr(quantion, "_np_ops", flipped)
+    (suite,) = run(fast_cfg(suites=["quantions"]))["suites"]
+    bad = [f["monomial"] for f in suite["failures"] if f.get("law") == "factorization"]
+    # the mutant breaks every monomial with x2^2 or x1 x2: 15 + 10 of them
+    assert suite["verdict"] == "fail" and len(bad) == 25 and bad[0] == [0, 0, 2, 0]
+
+
+def test_split_geometry_suite_checks_the_reversed_triangle(monkeypatch):
+    (suite,) = run(fast_cfg(suites=["split-complex-geometry"]))["suites"]
+    assert suite["verdict"] == "pass" and suite["witness"]["triangle_admissible"] > 0
+    monkeypatch.setattr("compalg.cli.check_reversed_triangle", lambda z, w: False)
+    (suite,) = run(fast_cfg(suites=["split-complex-geometry"]))["suites"]
+    assert suite["verdict"] == "fail"
+    assert [f["law"] for f in suite["failures"]] == ["triangle"] * 20
+
+
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 

@@ -8,7 +8,6 @@ from compalg.envariance import (
     PureState,
     bell_state,
     counter_unitary,
-    product_state,
     random_state,
     restores,
     schmidt,
@@ -27,7 +26,9 @@ def test_bell_state_schmidt_coefficients():
 
 
 def test_product_state_schmidt_rank_one():
-    st = product_state(np.array([1.0, 2j]), np.array([3.0, 1.0, 1j]))
+    left, right = np.array([1.0, 2j]), np.array([3.0, 1.0, 1j])
+    v = np.kron(left / np.linalg.norm(left), right / np.linalg.norm(right))
+    st = PureState((2, 3), v)
     sf = schmidt(st)
     assert sf.lambdas[0] == pytest.approx(1.0)
     assert np.max(np.abs(sf.lambdas[1:])) < 1e-14

@@ -17,7 +17,6 @@ from compalg.moyalpos import (
     _form,
     _gram,
     _lattice_form,
-    chain_identity_check,
     elliptic_control_sweep,
     fock_wigner,
     ghost_search,
@@ -134,17 +133,6 @@ def test_non_normalized_rejected():
     bad = GaussPoly(H, PhasePoly.const(1, 1), 0)  # missing 1/(pi hbar)
     with pytest.raises(NonNormalized):
         positivity_functional(bad, PhasePoly.q(), ELLIPTIC, H)
-
-
-def test_chain_identity_both_classes():
-    rng = random.Random(2)
-    F = fock_wigner(0, H)
-    F1 = fock_wigner(1, H)
-    for _ in range(10):
-        g = sample_poly(rng, 1, 2)
-        for cls in (ELLIPTIC, HYPERBOLIC):
-            assert chain_identity_check(F, g, cls, H)
-            assert chain_identity_check(F1, g, cls, H)
 
 
 def test_ghost_witness_exact_and_reproducible():

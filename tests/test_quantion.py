@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from compalg.errors import CliffordViolation, NoRepFound
+from compalg.errors import CliffordViolation
 from compalg.phasepoly import PhasePoly
 from compalg.quantion import (
     GammaRep,
@@ -16,26 +16,17 @@ from compalg.quantion import (
     box,
     candidate_reps,
     clifford_check,
-    cpt_fixed_points,
     dalembertian_factorization,
-    det_multiplicativity,
     dirac_current,
     dirac_current_check,
-    embedding_consistent,
-    fixed_set_closed_under_mul,
-    from_spinor,
-    mnorm,
     norms_commute,
-    p_fixed_is_complex_line,
     q_dagger,
     q_det,
     q_mul,
     q_sharp,
     rep_discovery,
     sample_quantion,
-    t_fixed_is_quaternion,
     to_spinor,
-    zero_divisor_witness,
 )
 from compalg.scalars import ComplexRational
 
@@ -48,7 +39,6 @@ def test_sharp_times_self_is_determinant():
         d = q_det(q)
         assert abs(m.a - d) < 1e-12 and abs(m.d - d) < 1e-12
         assert abs(m.b) < 1e-12 and abs(m.c) < 1e-12
-        assert abs(mnorm(q) - d) < 1e-12
 
 
 def test_involutions():
@@ -83,33 +73,17 @@ def test_norms_commute_sweep():
         assert norms_commute(sample_quantion(rng), tol=1e-6)
 
 
-def test_det_multiplicativity():
-    rng = random.Random(4)
-    for _ in range(100):
-        x, y = sample_quantion(rng), sample_quantion(rng)
-        assert det_multiplicativity(x, y, tol=1e-8)
-
-
-def test_zero_divisors_exist():
-    x, y = zero_divisor_witness()
-    assert q_mul(x, y).as_matrix().any() == False  # noqa: E712
-
-
-def test_block_embedding_consistent():
-    rng = random.Random(5)
-    for _ in range(50):
-        assert embedding_consistent(sample_quantion(rng), sample_quantion(rng))
-
-
 def test_spinor_map_frozen_value_and_roundtrip():
     q = Quantion(0, 0, 2.0**0.5, 0)
     psi = to_spinor(q)
     assert np.allclose(psi, [1, 0, 0, 0], atol=1e-15)
-    rng = random.Random(6)
-    for _ in range(50):
-        r = sample_quantion(rng)
-        back = from_spinor(to_spinor(r))
-        assert np.max(np.abs(back.as_matrix() - r.as_matrix())) < 1e-12
+    # the other three entries land on distinct components, b and d conjugated,
+    # so the map is a bijection
+    s = 2.0**0.5
+    for q, want in ((Quantion(s, 0, 0, 0), [0, -1, 0, 0]),
+                    (Quantion(0, 1j * s, 0, 0), [0, 0, -1j, 0]),
+                    (Quantion(0, 0, 0, 1j * s), [0, 0, 0, -1j])):
+        assert np.allclose(to_spinor(q), want, atol=1e-15)
 
 
 def test_all_candidates_satisfy_clifford():
@@ -240,24 +214,3 @@ def test_dalembertian_degree_cap():
     with pytest.raises(ValueError):
         dalembertian_factorization(f)
 
-
-def test_cpt_classification():
-    assert "C" in cpt_fixed_points(Quantion(1, 2, 2, 3))
-    assert "P" in cpt_fixed_points(Quantion(2 + 1j, 0, 0, 2 + 1j))
-    assert "T" in cpt_fixed_points(Quantion(1 + 2j, 3 + 4j, -3 + 4j, 1 - 2j))
-    assert cpt_fixed_points(Q_ONE) == ("C", "P", "T")
-
-
-def test_p_fixed_structure_and_t_fixed_structure():
-    assert p_fixed_is_complex_line(Quantion(2 + 1j, 0, 0, 2 + 1j))
-    assert t_fixed_is_quaternion(Quantion(1 + 2j, 3 + 4j, -3 + 4j, 1 - 2j))
-    with pytest.raises(ValueError):
-        p_fixed_is_complex_line(Quantion(1, 2, 3, 4))
-
-
-def test_fixed_sets_closed_under_multiplication():
-    rng = random.Random(11)
-    assert fixed_set_closed_under_mul("P", rng)
-    assert fixed_set_closed_under_mul("T", rng)
-    with pytest.raises(ValueError):
-        fixed_set_closed_under_mul("C", rng)

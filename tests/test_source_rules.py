@@ -1,6 +1,6 @@
 """Rules on the package source: one eigensolver path, sympy only in tests,
-no ``assert`` statements, which ``python -O`` strips, and one home for the
-integer-numerator helpers."""
+no ``assert`` statements, which ``python -O`` strips, one home for the
+integer-numerator helpers, and no public def that nothing reaches."""
 
 import ast
 import re
@@ -69,3 +69,53 @@ def test_helper_rule_catches_a_second_definition():
 def test_rational_helpers_are_defined_only_in_phasepoly():
     found = {f.name: d for f in sorted(SRC.rglob("*.py")) if (d := _helper_defs(f.read_text()))}
     assert found == {"phasepoly.py": sorted(RATIONAL_HELPERS)}
+
+
+# A public def that no suite, no other package code, no benchmark and no
+# acceptance criterion reaches serves no claim of the report.
+REACHING = [*sorted((SRC.parents[1] / "perfbench").glob("*.py")),
+            SRC.parents[1] / "tests" / "test_acceptance.py"]
+UNREACHED_BY_DESIGN = {
+    "berezin.coherent_coeffs": "the closed-form Poisson cross-check of the coherent states",
+    "envariance.bell_state": "the maximally entangled state a Bell/CHSH suite starts from",
+}
+
+
+def _names(node):
+    """Identifiers, attribute names, imported names and identifier strings
+    (``getattr`` targets) used under `node`."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add((n.asname or n.name).rpartition(".")[2])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            out.add(n.value)
+    return out
+
+
+def _unreferenced(package, outside):
+    """`module.name` of each public top-level def or class in `package`
+    (module name -> source) that no other top-level statement of the package
+    and none of the `outside` sources refers to."""
+    stmts = [(mod, s) for mod, text in package.items() for s in ast.parse(text).body]
+    uses = [(s, _names(s)) for _, s in stmts] + [(None, _names(ast.parse(t))) for t in outside]
+    return [f"{mod}.{s.name}" for mod, s in stmts
+            if isinstance(s, (ast.FunctionDef, ast.ClassDef)) and not s.name.startswith("_")
+            and not any(s.name in names for t, names in uses if t is not s)]
+
+
+def test_reach_rule_flags_an_unreferenced_def():
+    package = {"m": "def used():\n    return 1\n\n\ndef unused():\n    return unused() + used()\n",
+               "n": "from .m import used\n\n\nclass Orphan:\n    pass\n"}
+    assert _unreferenced(package, []) == ["m.unused", "n.Orphan"]
+    assert _unreferenced(package, ["from compalg.n import Orphan\ngetattr(m, 'unused')\n"]) == []
+
+
+def test_every_public_def_is_reached():
+    package = {f.stem: f.read_text() for f in sorted(SRC.glob("*.py"))}
+    found = _unreferenced(package, [p.read_text() for p in REACHING])
+    assert sorted(found) == sorted(UNREACHED_BY_DESIGN)
