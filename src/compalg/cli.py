@@ -142,9 +142,10 @@ def _result(name, passed, samples, failures=None, max_residual=0.0, extra=None):
     return out
 
 
-def _identity_table(name, carriers, cfg: SuiteConfig, seed: int):
-    failures = []
-    total = 0
+def _identity_table(name, carriers, cfg: SuiteConfig, seed: int, failures=(), samples=0):
+    """The identity table on `carriers`, plus the `failures` of `samples` other checks."""
+    failures = list(failures)
+    total = samples
     worst = 0.0
     for carrier in carriers:
         for rep in algebra.check_all_identities(carrier, cfg.identity_count, seed):
@@ -167,8 +168,14 @@ def _suite_identities(cls):
 
 
 def _suite_hilbert(cfg: SuiteConfig, seed: int):
+    rng = random.Random(seed)
+    cstar = []
+    for i in range(cfg.identity_count):
+        t = hilbert.sample_hermitian(rng, cfg.dim_cap) + 1j * hilbert.sample_hermitian(rng, cfg.dim_cap)
+        if not hilbert.cstar_check(t, 1e-10):
+            cstar.append({"law": "cstar", "sample": i})
     carriers = (hilbert.matrix_carrier(dim) for dim in sorted({min(4, cfg.dim_cap), cfg.dim_cap}))
-    return _identity_table("identities-hilbert", carriers, cfg, seed)
+    return _identity_table("identities-hilbert", carriers, cfg, seed, cstar, cfg.identity_count)
 
 
 def _suite_monoid(cfg: SuiteConfig, seed: int):

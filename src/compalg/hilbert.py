@@ -4,7 +4,7 @@ The two products become (i/hbar) times the commutator and the symmetrized
 product; the associative product with the minus sign is literal matrix
 multiplication.  The operator norm is the spectral radius of T^dagger T,
 computed with a self-contained cyclic Jacobi eigensolver that rotates the
-complex Hermitian matrix directly.
+complex Hermitian matrix directly and keeps eigenvalues only.
 """
 
 from __future__ import annotations
@@ -59,58 +59,59 @@ _JACOBI_SWEEPS = 60
 _JACOBI_TOL = 1e-14
 
 
-def _jacobi_hermitian(h: np.ndarray):
-    """Cyclic Jacobi on a complex Hermitian matrix; returns (w ascending, unitary V).
+def _jacobi_hermitian(h: np.ndarray) -> np.ndarray:
+    """Cyclic Jacobi on a complex Hermitian matrix; returns the eigenvalues, ascending.
 
     Golub & Van Loan section 8.5: the phase e^{i phi} = a_pq/|a_pq| makes the
     pivot real and the real symmetric rotation zeroes it, A <- U* A U with
-    U = diag(1, e^{-i phi}) [[c, s], [-s, c]] on the (p, q) plane.  V = prod U
-    is stacked under A, so one column rotation updates both.
+    U = diag(1, e^{-i phi}) [[c, s], [-s, c]] on the (p, q) plane.  No
+    eigenvectors are kept.  A is nested lists of Python scalars: at n <= 16
+    numpy call overhead costs more than the arithmetic.  Only the upper
+    triangle and the real diagonal are read; a rotation writes columns p and
+    q, their Hermitian mirror into rows p and q, and the pivot in closed form.
     """
-    n = h.shape[0]
-    av = np.vstack([np.array(h, dtype=complex), np.eye(n, dtype=complex)])
-    a, v = av[:n], av[n:]
+    upper = np.triu(h, 1)
+    a = upper + upper.conj().T + np.diag(h.diagonal().real)
     limit = _JACOBI_TOL * max(1.0, float(np.max(np.abs(a))))
+    a = a.tolist()
+    n = len(a)
+    d = [a[i][i].real for i in range(n)]
     for _ in range(_JACOBI_SWEEPS):
-        off = 0.0
+        rotated = False
         for p in range(n - 1):
+            ap = a[p]
             for q in range(p + 1, n):
-                apq = complex(a[p, q])
+                apq = ap[q]
                 mag = abs(apq)
                 if mag <= limit:
                     continue
-                off = max(off, mag)
-                ph = apq / mag
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
+                rotated = True
+                cph = apq.conjugate() / mag
+                tau = (d[q] - d[p]) / (2.0 * mag)
                 t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau)) if tau != 0 else 1.0
                 c = 1.0 / math.hypot(1.0, t)
                 s = t * c
-                cp, cq = av[:, p].copy(), ph.conjugate() * av[:, q]
-                av[:, p] = c * cp - s * cq
-                av[:, q] = s * cp + c * cq
-                rp, rq = a[p, :].copy(), ph * a[q, :]
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-        if off <= limit:
-            w = a.diagonal().real
-            order = np.argsort(w)
-            return w[order], v[:, order]
+                aq = a[q]
+                for r in range(n):
+                    if r == p or r == q:
+                        continue
+                    ar = a[r]
+                    x, y = ar[p], cph * ar[q]
+                    x, y = c * x - s * y, s * x + c * y
+                    ar[p], ar[q] = x, y
+                    ap[r], aq[r] = x.conjugate(), y.conjugate()
+                d[p] -= t * mag
+                d[q] += t * mag
+                ap[q] = aq[p] = 0j
+        if not rotated:
+            return np.array(sorted(d))
     raise EigenFailure("Jacobi sweeps did not converge")
-
-
-def hermitian_eig(a: np.ndarray):
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix.
-
-    Residual contract: ||A v - w v|| <= 1e-11 * scale per column.
-    """
-    _check_square(a)
-    return _jacobi_hermitian(a)
 
 
 def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Eigenvalues (ascending) of a Hermitian matrix."""
     _check_square(a)
-    return _jacobi_hermitian(a)[0]
+    return _jacobi_hermitian(a)
 
 
 def spectral_norm(t: np.ndarray) -> float:

@@ -3,6 +3,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from compalg.cli import (
@@ -214,7 +215,21 @@ def test_hilbert_suite_honours_dim_cap():
         rep = run(fast_cfg(suites=["identities-hilbert"], dim_cap=dim_cap, identity_count=2))
         (suite,) = rep["suites"]
         assert suite["verdict"] == "pass"
-        assert suite["samples"] == len(dims) * 9 * 2
+        # nine identities on two tuples per carrier, and two C*-checks
+        assert suite["samples"] == len(dims) * 9 * 2 + 2
+
+
+def test_hilbert_suite_checks_the_cstar_identity(monkeypatch):
+    from compalg import hilbert
+
+    cfg = fast_cfg(suites=["identities-hilbert"], identity_count=3)
+    (suite,) = run(cfg)["suites"]
+    assert suite["verdict"] == "pass" and suite["samples"] == 2 * 9 * 3 + 3
+    # an eigensolver that does no rotation reads the norms off the diagonal
+    monkeypatch.setattr(hilbert, "hermitian_eigenvalues", lambda a: np.sort(np.diagonal(a).real))
+    (suite,) = run(cfg)["suites"]
+    assert suite["verdict"] == "fail"
+    assert suite["failures"] == [{"law": "cstar", "sample": i} for i in range(3)]
 
 
 def test_falsify_suite_counts_the_sweeps_that_ran(monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -6,11 +7,12 @@ import numpy as np
 import pytest
 
 from compalg.algebra import beta_product, check_all_identities, check_identity, sample_poly
-from compalg.errors import DimMismatch, NonSymplecticW
+from compalg import hilbert
+from compalg.berezin import positivity_preservation
+from compalg.errors import DimMismatch, EigenFailure, NonSymplecticW
 from compalg.hilbert import (
     build_kahler,
     cstar_check,
-    hermitian_eig,
     hermitian_eigenvalues,
     hermitean_property_check,
     inner_product,
@@ -44,9 +46,46 @@ def test_op_shape_checks():
         op_sigma(np.ones((2, 3)), np.ones((2, 3)))
 
 
+def _reference_jacobi(h):
+    """The slow path: cyclic Jacobi on numpy rows with the eigenvectors.
+
+    Returns (w ascending, unitary V).  V = prod U is stacked under A, so one
+    column rotation updates both; rows and columns are rotated separately.
+    """
+    n = h.shape[0]
+    av = np.vstack([np.array(h, dtype=complex), np.eye(n, dtype=complex)])
+    a, v = av[:n], av[n:]
+    limit = hilbert._JACOBI_TOL * max(1.0, float(np.max(np.abs(a))))
+    for _ in range(hilbert._JACOBI_SWEEPS):
+        off = 0.0
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = complex(a[p, q])
+                mag = abs(apq)
+                if mag <= limit:
+                    continue
+                off = max(off, mag)
+                ph = apq / mag
+                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau)) if tau != 0 else 1.0
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c
+                cp, cq = av[:, p].copy(), ph.conjugate() * av[:, q]
+                av[:, p] = c * cp - s * cq
+                av[:, q] = s * cp + c * cq
+                rp, rq = a[p, :].copy(), ph * a[q, :]
+                a[p, :] = c * rp - s * rq
+                a[q, :] = s * rp + c * rq
+        if off <= limit:
+            w = a.diagonal().real
+            order = np.argsort(w)
+            return w[order], v[:, order]
+    raise EigenFailure("Jacobi sweeps did not converge")
+
+
 def _check_against_oracle(a):
     dim = a.shape[0]
-    w, v = hermitian_eig(a)
+    w, v = _reference_jacobi(a)
     scale = max(1.0, float(np.max(np.abs(a))))
     # residual contract
     for k in range(dim):
@@ -56,7 +95,10 @@ def _check_against_oracle(a):
     # eigenvalue agreement with the library oracle, ascending
     oracle = np.linalg.eigvalsh(a)
     assert np.max(np.abs(w - oracle)) <= 1e-10 * scale
-    assert np.array_equal(hermitian_eigenvalues(a), w)
+    # the package solver against the slow path and the library
+    got = hermitian_eigenvalues(a)
+    assert np.max(np.abs(got - w)) <= 1e-12 * scale
+    assert np.max(np.abs(got - oracle)) <= 1e-10 * scale
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 8, 12, 16])
@@ -79,12 +121,42 @@ SPECIAL_MATRICES = {
     "diagonal-repeated": np.diag([3.0, -1.0, 3.0, 0.5]).astype(complex),
     # the degenerate spectrum the real embedding's pair heuristics existed for
     "degenerate-1-1-1-2-2-3": U6 @ np.diag([1.0, 1, 1, 2, 2, 3]) @ U6.conj().T,
+    "zero-8": np.zeros((8, 8), dtype=complex),
+    # real symmetric tridiagonal: the oscillator's position ladder
+    "ladder-12": np.diag(np.sqrt(np.arange(1, 12) / 2.0), 1) + np.diag(np.sqrt(np.arange(1, 12) / 2.0), -1),
+    "scaled-1e-8": 1e-8 * sample_hermitian(random.Random(3), 8),
+    "scaled-1e8": 1e8 * sample_hermitian(random.Random(3), 8),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SPECIAL_MATRICES))
 def test_eigensolver_special_matrices(name):
     _check_against_oracle(SPECIAL_MATRICES[name])
+
+
+def test_eigensolver_on_the_benchmark_shape():
+    # the operator benchmark's matrices: cstar_check solves T^dagger T and its square
+    rng = random.Random(5)
+    for _ in range(100):
+        t = sample_hermitian(rng, 8) + 1j * sample_hermitian(rng, 8)
+        a = t.conj().T @ t
+        _check_against_oracle(a)
+        _check_against_oracle(a.conj().T @ a)
+
+
+def test_non_convergence_raises(monkeypatch):
+    monkeypatch.setattr(hilbert, "_JACOBI_SWEEPS", 1)
+    with pytest.raises(EigenFailure):
+        hermitian_eigenvalues(sample_hermitian(random.Random(0), 8))
+
+
+@pytest.mark.parametrize("smallest, preserved", [(-1e-6, False), (-1e-11, True)])
+def test_positivity_preservation_reads_the_smallest_eigenvalue(smallest, preserved):
+    u = _random_unitary(6, 8)
+    qf = np.zeros((12, 12), dtype=complex)
+    qf[:6, :6] = u @ np.diag([smallest, 0.5, 1.0, 2.0, 3.0, 4.0]) @ u.conj().T
+    qf[6:, 6:] = -np.eye(6)  # outside the trusted block, so not read
+    assert positivity_preservation(qf, tol=1e-9) is preserved
 
 
 def test_spectral_norm_against_numpy_oracle():
