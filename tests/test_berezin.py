@@ -81,6 +81,16 @@ def test_positivity_of_squares():
         assert positivity_preservation(m, tol=1e-9)
 
 
+@pytest.mark.parametrize("smallest, preserved", [(-1e-6, False), (-1e-11, True)])
+def test_positivity_preservation_reads_the_smallest_eigenvalue(smallest, preserved):
+    rng = np.random.default_rng(8)
+    u = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))[0]
+    qf = np.zeros((12, 12), dtype=complex)
+    qf[:6, :6] = u @ np.diag([smallest, 0.5, 1.0, 2.0, 3.0, 4.0]) @ u.conj().T
+    qf[6:, 6:] = -np.eye(6)  # outside the trusted block, so not read
+    assert positivity_preservation(qf, tol=1e-9) is preserved
+
+
 def test_cstar_identity_on_quantized():
     N = 14
     grid = build_grid(1.0, N, 2)

@@ -6,9 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from compalg.algebra import beta_product, check_all_identities, check_identity, sample_poly
 from compalg import hilbert
-from compalg.berezin import positivity_preservation
+from compalg.algebra import beta_product, check_all_identities, check_identity, sample_poly
 from compalg.errors import DimMismatch, EigenFailure, NonSymplecticW
 from compalg.hilbert import (
     build_kahler,
@@ -114,6 +113,7 @@ def _random_unitary(n, seed):
 
 
 U6 = _random_unitary(6, 4)
+LADDER = np.sqrt(np.arange(1, 12) / 2.0)
 SPECIAL_MATRICES = {
     "pauli-y": PAULI_Y,  # purely imaginary off-diagonal
     "identity-8": np.eye(8, dtype=complex),
@@ -123,7 +123,7 @@ SPECIAL_MATRICES = {
     "degenerate-1-1-1-2-2-3": U6 @ np.diag([1.0, 1, 1, 2, 2, 3]) @ U6.conj().T,
     "zero-8": np.zeros((8, 8), dtype=complex),
     # real symmetric tridiagonal: the oscillator's position ladder
-    "ladder-12": np.diag(np.sqrt(np.arange(1, 12) / 2.0), 1) + np.diag(np.sqrt(np.arange(1, 12) / 2.0), -1),
+    "ladder-12": np.diag(LADDER, 1) + np.diag(LADDER, -1),
     "scaled-1e-8": 1e-8 * sample_hermitian(random.Random(3), 8),
     "scaled-1e8": 1e8 * sample_hermitian(random.Random(3), 8),
 }
@@ -144,19 +144,16 @@ def test_eigensolver_on_the_benchmark_shape():
         _check_against_oracle(a.conj().T @ a)
 
 
+def test_eigensolver_reads_the_upper_triangle():
+    a = sample_hermitian(random.Random(2), 6)
+    garbled = np.triu(a) + np.tril(np.full((6, 6), 7 - 3j), -1) + 1e-3j * np.eye(6)
+    assert np.array_equal(hermitian_eigenvalues(garbled), hermitian_eigenvalues(a))
+
+
 def test_non_convergence_raises(monkeypatch):
     monkeypatch.setattr(hilbert, "_JACOBI_SWEEPS", 1)
     with pytest.raises(EigenFailure):
         hermitian_eigenvalues(sample_hermitian(random.Random(0), 8))
-
-
-@pytest.mark.parametrize("smallest, preserved", [(-1e-6, False), (-1e-11, True)])
-def test_positivity_preservation_reads_the_smallest_eigenvalue(smallest, preserved):
-    u = _random_unitary(6, 8)
-    qf = np.zeros((12, 12), dtype=complex)
-    qf[:6, :6] = u @ np.diag([smallest, 0.5, 1.0, 2.0, 3.0, 4.0]) @ u.conj().T
-    qf[6:, 6:] = -np.eye(6)  # outside the trusted block, so not read
-    assert positivity_preservation(qf, tol=1e-9) is preserved
 
 
 def test_spectral_norm_against_numpy_oracle():
