@@ -85,10 +85,7 @@ class Carrier:
 def _magnitude(v) -> float:
     if isinstance(v, complex):
         return abs(v)
-    if isinstance(v, (int, float, Fraction)):
-        return abs(float(v))
-    # exact two-component scalars
-    return max(abs(float(v.re)), abs(float(v.im)))
+    return max(abs(float(v.real)), abs(float(v.imag)))
 
 
 @dataclass

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegreeExceedsGrid, QuadratureDivergence
 from .hilbert import hermitian_eigenvalues
-from .phasepoly import PhasePoly, _to_complex
+from .phasepoly import PhasePoly
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ def berezin_quantize(f: PhasePoly, hbar: float, N: int, grid: QuadratureGrid) ->
     # f on the grid, with q along axis 0
     fv = np.zeros((len(grid.qs), len(grid.ps)), dtype=complex)
     for (a, b), c in f.terms.items():
-        fv += _to_complex(c) * np.outer(grid.qs**a, grid.ps**b)
+        fv += complex(c.real, c.imag) * np.outer(grid.qs**a, grid.ps**b)
     C = _coeff_tensor(grid.qs, grid.ps, hbar, N, 4 * N + 40)
     kern = grid.weights * fv / (2.0 * pi * hbar)
     return np.einsum("mij,ij,nij->mn", C, kern, np.conj(C), optimize=True)

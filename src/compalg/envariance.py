@@ -188,8 +188,9 @@ def verify_transitivity(
         raise DimensionBlowup(f"total dimension {total} exceeds cap {dim_cap}")
     sf = schmidt(ab)
     w_p = system_unitary(sf, w_phases, d1)
-    u_n = counter_unitary(sf, w_p)  # W_n = U_n(W_p)
-    v_n = counter_unitary(sf, w_p)  # second equivalence uses the same family
+    # W_n = U_n(W_p); the second equivalence uses the same family, so its
+    # V_n is the same matrix
+    u_n = v_n = counter_unitary(sf, w_p)
 
     a_vec = ab.amplitudes  # |a> (x) |b| as one bipartite vector
     xi = xi / np.linalg.norm(xi)

@@ -31,15 +31,9 @@ from .phasepoly import (
 from .scalars import J_SPLIT
 
 
-def _conj_coeff(c):
-    if isinstance(c, (int, Fraction)):
-        return c
-    return c.conj()
-
-
 def poly_conj(f: PhasePoly) -> PhasePoly:
     """Coefficient-wise involution (identity on rational coefficients)."""
-    return PhasePoly(f.dof, {e: _conj_coeff(c) for e, c in f.terms.items()})
+    return PhasePoly(f.dof, {e: c.conjugate() for e, c in f.terms.items()})
 
 
 class GaussPoly:
@@ -74,28 +68,24 @@ class GaussPoly:
         new = self.poly.deriv(axis) - (x * self.poly).scale(Fraction(2) / self.s)
         return GaussPoly(self.s, new, self.pi_exp)
 
-    def mul_poly(self, g: PhasePoly) -> "GaussPoly":
+    def __mul__(self, g: PhasePoly) -> "GaussPoly":
         return GaussPoly(self.s, self.poly * g, self.pi_exp)
-
-    __mul__ = mul_poly
 
     def mul_gauss(self, other: "GaussPoly") -> "GaussPoly":
         """Envelopes multiply: widths combine harmonically."""
         s = 1 / (1 / self.s + 1 / other.s)
         return GaussPoly(s, self.poly * other.poly, self.pi_exp + other.pi_exp)
 
-    def conj(self) -> "GaussPoly":
+    def conjugate(self) -> "GaussPoly":
         return GaussPoly(self.s, poly_conj(self.poly), self.pi_exp)
 
     def scale(self, c) -> "GaussPoly":
         return GaussPoly(self.s, self.poly.scale(c), self.pi_exp)
 
-    def add(self, other: "GaussPoly") -> "GaussPoly":
+    def __add__(self, other: "GaussPoly") -> "GaussPoly":
         if self.s != other.s or self.pi_exp != other.pi_exp:
             raise ValueError("mismatched envelope or pi power")
         return GaussPoly(self.s, self.poly + other.poly, self.pi_exp)
-
-    __add__ = add
 
 
 def _double_factorial_odd(m: int) -> int:
@@ -192,12 +182,6 @@ def star_gp(
     return total
 
 
-def _real_part(v):
-    if isinstance(v, (int, Fraction)):
-        return Fraction(v)
-    return v.re
-
-
 def positivity_functional(
     F: GaussPoly, g: PhasePoly, cls: str, hbar: Fraction = Fraction(2)
 ):
@@ -217,12 +201,12 @@ def positivity_functional(
     if (val, pexp) != (1, 0):
         raise NonNormalized(f"state integrates to {val} * pi^{pexp}")
     h = star(poly_conj(g), g, cls, hbar)
-    out, out_pexp = integrate(F.mul_poly(h))
+    out, out_pexp = integrate(F * h)
     if out_pexp != 0 and out != 0:
         raise AssertionError("functional did not normalize to pi^0")
     if cls == ELLIPTIC and F.poly.degree == 0:
         fg = star_gp(F, g, "right", cls, hbar)
-        sq = fg.conj().mul_gauss(fg)
+        sq = fg.conjugate().mul_gauss(fg)
         rhs, rhs_pexp = integrate(sq)
         rhs = rhs * 2 * hbar
         rhs_pexp += 1
@@ -281,7 +265,7 @@ def _gram(F: GaussPoly, cls: str, hbar: Fraction) -> list:
     for ei in basis:
         row = []
         for ej in basis:
-            out, out_pexp = integrate(F.mul_poly(star(ei, ej, cls, hbar)))
+            out, out_pexp = integrate(F * star(ei, ej, cls, hbar))
             if out_pexp != 0 and out != 0:
                 raise AssertionError("functional did not normalize to pi^0")
             row.append(out)
@@ -290,7 +274,7 @@ def _gram(F: GaussPoly, cls: str, hbar: Fraction) -> list:
         eF = [star_gp(F, e, "right", cls, hbar) for e in basis]
         for i, row in enumerate(G):
             for j, out in enumerate(row):
-                rhs, rhs_pexp = integrate(eF[i].conj().mul_gauss(eF[j]))
+                rhs, rhs_pexp = integrate(eF[i].conjugate().mul_gauss(eF[j]))
                 if (out, 0) != (rhs * 2 * hbar, 0 if rhs == 0 else rhs_pexp + 1):
                     raise AssertionError("chain equality failed")
     return G
@@ -306,7 +290,7 @@ def _lattice_form(G: list, cls: str) -> tuple:
     and u = (1, 1, 1, J, J)."""
     u = (1, 1, 1, J_UNIT[cls], J_UNIT[cls])
     Q = [
-        [_real_part(_conj_coeff(u[a]) * u[b] * G[i][j]) for b, j in enumerate(_LATTICE_AXES)]
+        [(u[a].conjugate() * u[b] * G[i][j]).real for b, j in enumerate(_LATTICE_AXES)]
         for a, i in enumerate(_LATTICE_AXES)
     ]
     D = lcm(*(x.denominator for row in Q for x in row))

@@ -3,7 +3,9 @@
 Coordinates are ordered q^1..q^n, p_1..p_n.  Coefficients live in any of
 the exact scalar rings from :mod:`compalg.scalars` (or plain Fractions);
 every bracket and star-product series terminates on polynomials, so all
-identities here are decidable by structural equality.
+identities here are decidable by structural equality.  Every coefficient
+answers ``real``, ``imag`` and ``conjugate()`` (Python's number protocol),
+which is all that readers outside the kernel use of it.
 
 One bidifferential engine serves every product: ``contractions`` walks the
 levels k = 0, 1, 2, ... of f (<->nabla)^k g as merged signed derivative
@@ -167,7 +169,7 @@ class PhasePoly:
             m = 1.0
             for x, k in zip(coords, e):
                 m *= x**k
-            total += _to_complex(c) * m
+            total += complex(c.real, c.imag) * m
         return total
 
     def canonical_str(self) -> str:
@@ -188,14 +190,6 @@ class PhasePoly:
 
     def __repr__(self):
         return f"PhasePoly({self.canonical_str()})"
-
-
-def _to_complex(c) -> complex:
-    if isinstance(c, (int, Fraction, float)):
-        return complex(float(c), 0.0)
-    # two-component exact scalars: meaningful numerically only for the
-    # complex ring; callers keep split/dual coefficients exact
-    return complex(float(c.re), float(c.im))
 
 
 def contractions(f, g: PhasePoly):

@@ -14,13 +14,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import CliffordViolation, NoRepFound
 from .phasepoly import PhasePoly
-from .scalars import ComplexRational
+from .scalars import I_COMPLEX
 
 # ---------------------------------------------------------------------------
 # Core arithmetic on the reduced representation q = [[a, c], [b, d]]
@@ -43,14 +42,6 @@ class Quantion:
 Q_ONE = Quantion(1, 0, 0, 1)
 
 
-def _conj(z):
-    if isinstance(z, (int, float, Fraction)):
-        return z
-    if isinstance(z, complex):
-        return z.conjugate()
-    return z.conj()
-
-
 def q_mul(x: Quantion, y: Quantion) -> Quantion:
     """2x2 matrix product on the reduced forms."""
     return Quantion(
@@ -63,7 +54,7 @@ def q_mul(x: Quantion, y: Quantion) -> Quantion:
 
 def q_dagger(x: Quantion) -> Quantion:
     """Conjugate transpose."""
-    return Quantion(_conj(x.a), _conj(x.c), _conj(x.b), _conj(x.d))
+    return Quantion(x.a.conjugate(), x.c.conjugate(), x.b.conjugate(), x.d.conjugate())
 
 
 def q_sharp(x: Quantion) -> Quantion:
@@ -137,7 +128,7 @@ SQRT2 = 2.0**0.5
 def to_spinor(q: Quantion) -> np.ndarray:
     """Psi = (1/sqrt 2) (c, -a, b*, d*)."""
     return np.array(
-        [q.c, -q.a, _conj(q.b), _conj(q.d)], dtype=complex
+        [q.c, -q.a, q.b.conjugate(), q.d.conjugate()], dtype=complex
     ) / SQRT2
 
 
@@ -254,14 +245,12 @@ def rep_discovery(seed: int = 0) -> GammaRep:
 # Polynomials in x^0..x^3 are PhasePoly with dof = 2 (axes 0..3) over
 # ComplexRational coefficients; D = d0 + d3, delta = d1 + i d2, Delta = d0 - d3.
 
-I = ComplexRational(0, 1)
-
 
 def _np_ops(P: PhasePoly):
     d0, d1, d2, d3 = (P.deriv(k) for k in range(4))
     D = d0 + d3
-    delta = d1 + d2.scale(I)
-    delta_bar = d1 - d2.scale(I)
+    delta = d1 + d2.scale(I_COMPLEX)
+    delta_bar = d1 - d2.scale(I_COMPLEX)
     Delta = d0 - d3
     return D, delta, delta_bar, Delta
 

@@ -5,6 +5,11 @@ and dual numbers, plus the indefinite para-geometry of the split-complex
 plane: the signed square and its quadrants, the polarization and
 parallelogram identities, para-Cauchy-Schwarz, the reversed triangle
 inequality, and the minimizer non-uniqueness witness.
+
+The three J-scalar classes speak Python's number protocol (PEP 3141): like
+``int``, ``Fraction``, ``float`` and ``complex``, each answers ``real``,
+``imag`` and ``conjugate()``, so every exact coefficient is read the same
+way and no caller dispatches on its type.
 """
 
 from __future__ import annotations
@@ -12,12 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Union
 
 from .errors import PreconditionViolated
-
-Rational = Fraction
-RationalLike = Union[int, Fraction]
 
 
 def _as_fraction(x):
@@ -31,14 +32,15 @@ def _as_fraction(x):
 class _Pair:
     """Common machinery for two-component scalar extensions of Q."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("real", "imag")
     # subclass sets: _unit_sq = j*j as a Fraction
     _unit_sq: Fraction
     _symbol: str
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+    def __init__(self, real=0, imag=0):
+        # a Fraction is kept as it is; re-wrapping it would build a copy
+        object.__setattr__(self, "real", real if isinstance(real, Fraction) else Fraction(real))
+        object.__setattr__(self, "imag", imag if isinstance(imag, Fraction) else Fraction(imag))
 
     def __setattr__(self, *a):
         raise AttributeError("immutable scalar")
@@ -55,7 +57,7 @@ class _Pair:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return type(self)(self.re + o.re, self.im + o.im)
+        return type(self)(self.real + o.real, self.imag + o.imag)
 
     __radd__ = __add__
 
@@ -63,7 +65,7 @@ class _Pair:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return type(self)(self.re - o.re, self.im - o.im)
+        return type(self)(self.real - o.real, self.imag - o.imag)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -72,15 +74,15 @@ class _Pair:
         return o - self
 
     def __neg__(self):
-        return type(self)(-self.re, -self.im)
+        return type(self)(-self.real, -self.imag)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return type(self)(
-            self.re * o.re + self._unit_sq * self.im * o.im,
-            self.re * o.im + self.im * o.re,
+            self.real * o.real + self._unit_sq * self.imag * o.imag,
+            self.real * o.imag + self.imag * o.real,
         )
 
     __rmul__ = __mul__
@@ -96,52 +98,48 @@ class _Pair:
     def __truediv__(self, other):
         f = _as_fraction(other)
         if f is not None:
-            return type(self)(self.re / f, self.im / f)
+            return type(self)(self.real / f, self.imag / f)
         return NotImplemented
 
     def __eq__(self, other):
         if isinstance(other, type(self)):
-            return self.re == other.re and self.im == other.im
+            return self.real == other.real and self.imag == other.imag
         f = _as_fraction(other)
         if f is not None:
-            return self.im == 0 and self.re == f
+            return self.imag == 0 and self.real == f
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((type(self).__name__, self.re, self.im))
+        if self.imag == 0:
+            return hash(self.real)
+        return hash((type(self).__name__, self.real, self.imag))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self.real != 0 or self.imag != 0
 
-    def conj(self):
-        return type(self)(self.re, -self.im)
+    def conjugate(self):
+        return type(self)(self.real, -self.imag)
 
     def __repr__(self):
-        return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}{self._symbol})"
+        return f"({self.real}{'+' if self.imag >= 0 else ''}{self.imag}{self._symbol})"
 
 
 class SplitComplex(_Pair):
-    """re + j*im with j*j = +1."""
+    """real + j*imag with j*j = +1."""
 
     _unit_sq = Fraction(1)
     _symbol = "j"
 
 
 class DualNumber(_Pair):
-    """re + eps*im with eps*eps = 0."""
+    """real + eps*imag with eps*eps = 0."""
 
     _unit_sq = Fraction(0)
     _symbol = "eps"
 
-    @property
-    def eps(self):
-        return self.im
-
 
 class ComplexRational(_Pair):
-    """re + i*im with i*i = -1."""
+    """real + i*imag with i*i = -1."""
 
     _unit_sq = Fraction(-1)
     _symbol = "i"
@@ -153,8 +151,8 @@ I_COMPLEX = ComplexRational(0, 1)
 
 
 def para_square(z: SplitComplex) -> Fraction:
-    """Signed square z* z = re^2 - im^2 (exact)."""
-    return z.re * z.re - z.im * z.im
+    """Signed square z* z = real^2 - imag^2 (exact)."""
+    return z.real * z.real - z.imag * z.imag
 
 
 def _sign(x) -> int:
@@ -170,8 +168,8 @@ class Branch(Enum):
 
 
 def quadrant_of(z: SplitComplex) -> Branch:
-    """Which quadrant z lies in; the null cone when |re| = |im|."""
-    x, y = z.re, z.im
+    """Which quadrant z lies in; the null cone when |real| = |imag|."""
+    x, y = z.real, z.imag
     if abs(x) == abs(y):
         return Branch.NULL_CONE
     if abs(x) > abs(y):
@@ -184,13 +182,13 @@ def check_polarization_parallelogram(
 ) -> tuple[bool, bool]:
     """Exact verdicts for the polarization and parallelogram identities."""
     j = J_SPLIT
-    lhs_pol = x.conj() * y
+    lhs_pol = x.conjugate() * y
     rhs_pol = (
-        ((x + y).conj() * (x + y) - (x - y).conj() * (x - y)) / 4
-        + j * ((x + j * y).conj() * (x + j * y) - (x - j * y).conj() * (x - j * y)) / 4
+        ((x + y).conjugate() * (x + y) - (x - y).conjugate() * (x - y)) / 4
+        + j * ((x + j * y).conjugate() * (x + j * y) - (x - j * y).conjugate() * (x - j * y)) / 4
     )
-    lhs_par = (x + y).conj() * (x + y) + (x - y).conj() * (x - y)
-    rhs_par = 2 * (x.conj() * x + y.conj() * y)
+    lhs_par = (x + y).conjugate() * (x + y) + (x - y).conjugate() * (x - y)
+    rhs_par = 2 * (x.conjugate() * x + y.conjugate() * y)
     return lhs_pol == rhs_pol, lhs_par == rhs_par
 
 
@@ -229,7 +227,7 @@ def para_cauchy_schwarz_holds(x: SplitComplex, y: SplitComplex) -> bool:
     if sx * sy < 0:
         raise PreconditionViolated("para-Cauchy-Schwarz requires ‖x‖·‖y‖ >= 0")
     # |<x,y>|^2 = |N(x) N(y)|, (‖x‖‖y‖)^2 = |N(x)||N(y)| with sign +
-    lhs_sq = abs(para_square(x.conj() * y))
+    lhs_sq = abs(para_square(x.conjugate() * y))
     rhs_sq = abs(nx) * abs(ny)
     return lhs_sq >= rhs_sq
 
@@ -275,14 +273,12 @@ def minimizer_nonuniqueness_witness() -> MinimizerWitness:
     along the null direction; y - y0 is null.
     """
     x = (SplitComplex(0, 0), SplitComplex(0, 0))
-    w = MinimizerWitness(
+    return MinimizerWitness(
         point=x,
         segment=(Fraction(-1, 2), Fraction(1, 2)),
         y=_seg_point(Fraction(0)),
         y0=_seg_point(Fraction(1, 2)),
     )
-    revalidate_witness(w)
-    return w
 
 
 def revalidate_witness(w: MinimizerWitness, lattice: int = 101) -> int:

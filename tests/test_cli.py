@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from compalg import scalars
 from compalg.cli import (
     SUITES,
     SuiteConfig,
@@ -102,6 +103,20 @@ def test_minimizer_suite_reports_the_points_it_checked(monkeypatch):
     monkeypatch.setattr("compalg.cli.revalidate_witness", lambda w: 7)
     rep = run(fast_cfg(suites=["minimizer-no-go"]))
     assert rep["suites"][0]["samples"] == 7
+
+
+def test_minimizer_suite_validates_the_witness_once(monkeypatch):
+    original, calls = scalars.revalidate_witness, []
+
+    def counting(w, lattice=101):
+        calls.append(lattice)
+        return original(w, lattice)
+
+    for module in ("compalg.scalars", "compalg.cli"):
+        monkeypatch.setattr(f"{module}.revalidate_witness", counting)
+    rep = run(fast_cfg(suites=["minimizer-no-go"]))
+    assert calls == [101]
+    assert rep["suites"][0]["samples"] == 101
 
 
 def test_md_report_shape():

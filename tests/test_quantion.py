@@ -28,7 +28,6 @@ from compalg.quantion import (
     sample_quantion,
     to_spinor,
 )
-from compalg.scalars import ComplexRational
 
 
 def test_sharp_times_self_is_determinant():
@@ -141,12 +140,9 @@ def sympy_box(P: PhasePoly):
     xs = sp.symbols("x0 x1 x2 x3")
     expr = sp.Integer(0)
     for e, c in P.terms.items():
-        if isinstance(c, ComplexRational):
-            cc = sp.Rational(c.re.numerator, c.re.denominator) + sp.I * sp.Rational(
-                c.im.numerator, c.im.denominator
-            )
-        else:
-            cc = sp.Rational(c.numerator, c.denominator)
+        cc = sp.Rational(c.real.numerator, c.real.denominator) + sp.I * sp.Rational(
+            c.imag.numerator, c.imag.denominator
+        )
         term = cc
         for s, k in zip(xs, e):
             term *= s**k
@@ -160,12 +156,9 @@ def sympy_box(P: PhasePoly):
 def to_sympy4(P: PhasePoly, xs):
     expr = sp.Integer(0)
     for e, c in P.terms.items():
-        if isinstance(c, ComplexRational):
-            cc = sp.Rational(c.re.numerator, c.re.denominator) + sp.I * sp.Rational(
-                c.im.numerator, c.im.denominator
-            )
-        else:
-            cc = sp.Rational(c.numerator, c.denominator)
+        cc = sp.Rational(c.real.numerator, c.real.denominator) + sp.I * sp.Rational(
+            c.imag.numerator, c.imag.denominator
+        )
         term = cc
         for s, k in zip(xs, e):
             term *= s**k

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from compalg.errors import PreconditionViolated
+from compalg.moyalpos import poly_conj
+from compalg.phasepoly import CLASSES, J_UNIT, PhasePoly
 from compalg.scalars import (
     Branch,
     ComplexRational,
@@ -39,14 +42,51 @@ def test_split_product_frozen_value():
 def test_dual_number_nilpotent():
     e = DualNumber(0, 1)
     assert e * e == DualNumber(0, 0)
-    assert (DualNumber(3, 2) * DualNumber(1, 5)).eps == 17
+    assert (DualNumber(3, 2) * DualNumber(1, 5)).imag == 17
 
 
 def test_complex_rational_square():
     i = ComplexRational(0, 1)
     assert i * i == -1
     z = ComplexRational(3, 4)
-    assert z * z.conj() == 25
+    assert z * z.conjugate() == 25
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_j_scalars_speak_the_number_protocol(cls):
+    # the names int, Fraction, float and complex share (PEP 3141)
+    J = J_UNIT[cls]
+    rng = random.Random(11)
+    for _ in range(50):
+        a, b, c, d = (Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4))
+        z, w = a + J * b, c + J * d
+        assert (z.real, z.imag) == (a, b)
+        assert z.conjugate() == a - J * b
+        assert (z * w).conjugate() == z.conjugate() * w.conjugate()
+        assert type(z)(z.real, z.imag) == z
+    # a polynomial mixing rational and J-valued coefficients
+    q, p = PhasePoly.q(), PhasePoly.p()
+    f = PhasePoly.const(Fraction(3, 2), 1) + q.scale(Fraction(1, 3) + J * 2) + p.scale(J * Fraction(-5, 7))
+    bar = PhasePoly.const(Fraction(3, 2), 1) + q.scale(Fraction(1, 3) - J * 2) + p.scale(J * Fraction(5, 7))
+    assert poly_conj(f) == bar
+    assert poly_conj(bar) == f
+
+
+def test_pair_keeps_fraction_components(monkeypatch):
+    a, b = Fraction(1, 3), Fraction(-2, 5)
+    calls = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kw):
+        calls.append(args)
+        return new(cls, *args, **kw)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    z = SplitComplex(a, b)
+    assert calls == []
+    assert z.real is a and z.imag is b
+    w = SplitComplex(1, 2)  # any other argument is converted as before
+    assert type(w.real) is Fraction and len(calls) == 2
 
 
 def test_mixed_arithmetic_with_fractions():
@@ -186,4 +226,4 @@ def test_euclidean_analogue_is_unique():
 def test_immutability():
     z = SplitComplex(1, 2)
     with pytest.raises(AttributeError):
-        z.re = Fraction(5)
+        z.real = Fraction(5)
