@@ -17,6 +17,11 @@ values are equal pairs; only ``decompose`` builds Fractions, one per
 coefficient.  A value that is not rational (a float carrier's complex
 entry) is its own numerator over 1 and leaves den 1.  Products expand
 factor basis pairs through the factor carrier's memo table.
+
+The forbidden a alpha1 alpha2 term makes the composite skew product
+alpha_0 + a A, so a Leibniz-alpha defect is an exact polynomial
+D_0 + a D_1 + a^2 D_2 in a; ``falsify_sweep`` builds its coefficients once
+per sampled triple and judges it at every requested a.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ class Carrier:
     alpha: Callable[[Any, Any], Any]
     decompose: Callable[[Any], dict]
     basis: Callable[[Any], Any]  # inverse of decompose on one key
+    residual: Callable[[Any], float]  # largest |coefficient| of decompose(x), 0.0 if none
     sample: Callable[[random.Random], Any]
     tol: float = 0.0
     jscale: Optional[Callable[[Any, Fraction], Any]] = None
@@ -71,12 +77,6 @@ class Carrier:
 
     def sub(self, x, y):
         return self.add(x, self.scale(y, Fraction(-1)))
-
-    def residual(self, elem) -> float:
-        vals = self.decompose(elem)
-        if not vals:
-            return 0.0
-        return max(_magnitude(v) for v in vals.values())
 
     def is_zero(self, elem) -> bool:
         return self.residual(elem) <= self.tol
@@ -231,6 +231,7 @@ def phase_poly_carrier(
         alpha=lambda x, y: pp.alpha(x, y, cls, hbar),
         decompose=lambda x: dict(x.terms),
         basis=lambda k: PhasePoly(dof, {k: Fraction(1)}),
+        residual=lambda x: max(map(_magnitude, x.terms.values()), default=0.0),
         sample=lambda rng: sample_poly(rng, dof, max_degree),
         tol=0.0,
         jscale=lambda x, r: x.scale(j_unit * Fraction(r)),
@@ -293,6 +294,56 @@ def _scale(x: tuple, s) -> tuple:
     return _lowest(den * ds, {k: n * ns for k, n in nums.items()})
 
 
+def _product(law: list, left: Callable, right: Callable) -> Callable:
+    """The bilinear composite product sum_i w_i (left_i (x) right_i).
+
+    `law` lists (left product, right product, weight) and zero weights add
+    no terms; `left` and `right` are the factor carriers' expanders.  It
+    acts on canonical (den, numerators) pairs.
+    """
+    law = [(pa, pb, *_split(w)) for pa, pb, w in law if w]
+
+    def run(x, y):
+        (dx, x), (dy, y) = x, y
+        # each factor expansion this call needs, fetched once per distinct key pair
+        xl, xr = dict.fromkeys(k[0] for k in x), dict.fromkeys(k[1] for k in x)
+        yl, yr = dict.fromkeys(k[0] for k in y), dict.fromkeys(k[1] for k in y)
+        rkeys = [(r1, r2) for r1 in xr for r2 in yr]
+        lkeys = [(l1, l2) for l1 in xl for l2 in yl]
+        terms = []
+        for pa, pb, nw, dw in law:
+            rt = {k: e for k in rkeys if (e := right(pb, *k))[1]}
+            if rt:
+                terms.append((nw, dw, {k: left(pa, *k) for k in lkeys}, rt))
+        parts = {}  # denominator dw*dl*dr -> {key: integer numerator}
+        for (l1, r1), n1 in x.items():
+            for (l2, r2), n2 in y.items():
+                n12 = n1 * n2
+                lk, rk = (l1, l2), (r1, r2)
+                for nw, dw, lt, rt in terms:
+                    e = rt.get(rk)
+                    if e is None:
+                        continue
+                    dr, nr = e
+                    dl, nl = lt[lk]
+                    acc = parts.setdefault(dw * dl * dr, {})
+                    nn = nw * n12
+                    for kl, cl in nl.items():
+                        wl = nn * cl
+                        for kr, cr in nr.items():
+                            k = (kl, kr)
+                            acc[k] = acc.get(k, 0) + wl * cr
+        den = lcm(*parts)
+        out = {}
+        for d, acc in parts.items():
+            m = den // d
+            for k, v in acc.items():
+                out[k] = out.get(k, 0) + v * m
+        return _lowest(den * dx * dy, out)
+
+    return run
+
+
 def compose_bipartite(a: Carrier, b: Carrier, extra_a: Fraction = Fraction(0)) -> Carrier:
     """Carrier on canonical (den, {(left key, right key): numerator}) pairs.
 
@@ -309,49 +360,6 @@ def compose_bipartite(a: Carrier, b: Carrier, extra_a: Fraction = Fraction(0)) -
     xcoef = Fraction(a.jsquared) * a.hbar * a.hbar / 4
     left, right = _expander(a), _expander(b)
 
-    def product(law):
-        law = [(pa, pb, *_split(w)) for pa, pb, w in law if w]
-
-        def run(x, y):
-            (dx, x), (dy, y) = x, y
-            # each factor expansion this call needs, fetched once per distinct key pair
-            xl, xr = dict.fromkeys(k[0] for k in x), dict.fromkeys(k[1] for k in x)
-            yl, yr = dict.fromkeys(k[0] for k in y), dict.fromkeys(k[1] for k in y)
-            rkeys = [(r1, r2) for r1 in xr for r2 in yr]
-            lkeys = [(l1, l2) for l1 in xl for l2 in yl]
-            terms = []
-            for pa, pb, nw, dw in law:
-                rt = {k: e for k in rkeys if (e := right(pb, *k))[1]}
-                if rt:
-                    terms.append((nw, dw, {k: left(pa, *k) for k in lkeys}, rt))
-            parts = {}  # denominator dw*dl*dr -> {key: integer numerator}
-            for (l1, r1), n1 in x.items():
-                for (l2, r2), n2 in y.items():
-                    n12 = n1 * n2
-                    lk, rk = (l1, l2), (r1, r2)
-                    for nw, dw, lt, rt in terms:
-                        e = rt.get(rk)
-                        if e is None:
-                            continue
-                        dr, nr = e
-                        dl, nl = lt[lk]
-                        acc = parts.setdefault(dw * dl * dr, {})
-                        nn = nw * n12
-                        for kl, cl in nl.items():
-                            wl = nn * cl
-                            for kr, cr in nr.items():
-                                k = (kl, kr)
-                                acc[k] = acc.get(k, 0) + wl * cr
-            den = lcm(*parts)
-            out = {}
-            for d, acc in parts.items():
-                m = den // d
-                for k, v in acc.items():
-                    out[k] = out.get(k, 0) + v * m
-            return _lowest(den * dx * dy, out)
-
-        return run
-
     def t_sample(rng):
         t = tensor(a, b, a.sample(rng), b.sample(rng))
         if rng.random() < 0.5:
@@ -365,10 +373,14 @@ def compose_bipartite(a: Carrier, b: Carrier, extra_a: Fraction = Fraction(0)) -
         unit=tensor(a, b, a.unit, b.unit),
         add=_add,
         scale=_scale,
-        sigma=product([(a.sigma, b.sigma, 1), (a.alpha, b.alpha, xcoef)]),
-        alpha=product([(a.alpha, b.sigma, 1), (a.sigma, b.alpha, 1), (a.alpha, b.alpha, extra_a)]),
+        sigma=_product([(a.sigma, b.sigma, 1), (a.alpha, b.alpha, xcoef)], left, right),
+        alpha=_product(
+            [(a.alpha, b.sigma, 1), (a.sigma, b.alpha, 1), (a.alpha, b.alpha, extra_a)], left, right
+        ),
         decompose=lambda x: {k: _ratio(n, x[0]) for k, n in x[1].items()},
         basis=lambda k: (1, {k: 1}),
+        # int true division is correctly rounded, as float(Fraction) is
+        residual=lambda x: max(map(abs, x[1].values()), default=0) / x[0],
         sample=t_sample,
         tol=max(a.tol, b.tol),
     )
@@ -418,6 +430,51 @@ def check_monoid(a: Carrier, b: Carrier, c: Carrier, count: int = 100, seed: int
     return rep
 
 
+def falsify_sweep(a: Carrier, b: Carrier, extras, count: int = 200, seed: int = 0) -> list:
+    """Leibniz-alpha sweeps with the extra x*alpha alpha term, one report per x in `extras`.
+
+    The skew product is alpha_x = alpha_0 + x A, with A the alpha1 alpha2
+    law term, so each sampled defect is exactly D_0 + x D_1 + x^2 D_2.  Each
+    triple is drawn once (the sampler does not depend on x), the three
+    coefficients are built with alpha_0 and A, and D(x) is judged for every
+    x.  The reports are those of ``check_identity`` on
+    ``compose_bipartite(a, b, extra_a=x)``; a nonzero x is expected to fail.
+    """
+    extras = [Fraction(x) for x in extras]
+    c = compose_bipartite(a, b)
+    products = (c.alpha, _product([(a.alpha, b.alpha, 1)], _expander(a), _expander(b)))
+    reps = [IdentityReport("leibniz-alpha", c.name, count, expected="fail" if x else "pass") for x in extras]
+
+    def skew(us, vs):
+        """alpha_x(u, v) as coefficients in x, for u and v given as coefficients in x."""
+        out = [None] * (len(us) + len(vs))
+        for i, u in enumerate(us):
+            for j, v in enumerate(vs):
+                for k, prod in enumerate(products):
+                    t = prod(u, v)
+                    out[i + j + k] = t if out[i + j + k] is None else c.add(out[i + j + k], t)
+        return out
+
+    def at(coeffs, x):
+        """sum_k x^k coeffs[k], by Horner's rule."""
+        out = coeffs[-1]
+        for d in reversed(coeffs[:-1]):
+            out = c.add(c.scale(out, x), d)
+        return out
+
+    rng = random.Random(seed)
+    for i in range(count):
+        f, g, h = elems = tuple(c.sample(rng) for _ in range(3))
+        t = (skew([f], skew([g], [h])), skew(skew([f], [g]), [h]), skew([g], skew([f], [h])))
+        defect = [c.sub(t0, c.add(t1, t2)) for t0, t1, t2 in zip(*t)]
+        for x, rep in zip(extras, reps):
+            # lazy: the summands are built only if a float tolerance reads them
+            summands = (at(terms, x) for terms in t)
+            if failed := _judge(rep, c, at(defect, x), summands, sample=i):
+                failed["witness"] = repr(elems)
+    return reps
+
+
 def falsify_nonzero_a(
     a: Carrier, b: Carrier, extra_a: Fraction, count: int = 200, seed: int = 0
 ) -> IdentityReport:
@@ -426,13 +483,10 @@ def falsify_nonzero_a(
     For extra_a != 0 the sweep MUST find a counterexample; finding none
     signals a sampler too weak and raises UnexpectedPass.
     """
-    extra_a = Fraction(extra_a)
-    carrier = compose_bipartite(a, b, extra_a=extra_a)
-    rep = check_identity(carrier, "leibniz-alpha", count=count, seed=seed)
-    rep.expected = "fail" if extra_a else "pass"
-    if extra_a and not rep.failures:
+    (rep,) = falsify_sweep(a, b, [extra_a], count, seed)
+    if rep.expected == "fail" and not rep.failures:
         raise UnexpectedPass(
-            f"no Leibniz counterexample for a={extra_a}; widen sampler degrees"
+            f"no Leibniz counterexample for a={Fraction(extra_a)}; widen sampler degrees"
         )
     return rep
 

@@ -28,7 +28,6 @@ from .errors import (
     ConfigError,
     PreconditionViolated,
     SchemaMismatch,
-    UnexpectedPass,
 )
 from .phasepoly import CLASSES, ELLIPTIC, PhasePoly, hbar_zero_limit, poisson
 from .scalars import (
@@ -194,21 +193,14 @@ def _suite_monoid(cfg: SuiteConfig, seed: int):
 
 def _suite_falsify_a(cfg: SuiteConfig, seed: int):
     c = algebra.phase_poly_carrier(ELLIPTIC, cfg.hbar[0], 1, 3)
-    count = 50
-    witnesses = []
-    ok = True
-    samples = 0
-    for a in (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(0)):
-        try:
-            rep = algebra.falsify_nonzero_a(c, c, a, count=count, seed=seed)
-        except UnexpectedPass:  # the sweep ran to the end without a counterexample
-            ok = False
-            samples += count
-            continue
-        ok &= rep.passed
-        samples += rep.samples
-        if a:
-            witnesses.append({"a": str(a), "counterexamples": len(rep.failures)})
+    extras = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(0))
+    reps = algebra.falsify_sweep(c, c, extras, count=50, seed=seed)
+    witnesses = [
+        {"a": str(a), "counterexamples": len(rep.failures)}
+        for a, rep in zip(extras, reps) if a and rep.failures
+    ]
+    ok = all(rep.passed for rep in reps)
+    samples = sum(rep.samples for rep in reps)
     return _result("falsify-nonzero-a", ok, samples, max_residual=0.0, extra=witnesses)
 
 

@@ -156,6 +156,7 @@ def matrix_carrier(dim: int, hbar: Fraction = Fraction(2), tol: float = 1e-12) -
         alpha=lambda x, y: op_alpha(x, y, hf),
         decompose=lambda x: {k: v for k, v in zip(keys, x.ravel().tolist()) if v},
         basis=lambda k: np.outer(eye[k[0]], eye[k[1]]),
+        residual=lambda x: max(map(abs, x.ravel().tolist()), default=0.0),
         sample=lambda rng: sample_hermitian(rng, dim),
         tol=tol,
         jscale=lambda x, r: (-1j * float(r)) * x,

@@ -10,7 +10,9 @@ Gaussian's derivatives are not integer polynomials).  The functional
 makes the elliptic/hyperbolic positivity split decidable, not numeric.
 It is sesquilinear in the coefficients of g, so the lattice sweeps read it
 off one exact 3x3 Gram matrix over {1, q, p} per state instead of
-expanding a star product at every lattice point.
+expanding a star product at every lattice point, as an integer quadratic
+form that one walk evaluates coordinate by coordinate: lattice points that
+share a prefix share its work.
 """
 
 from __future__ import annotations
@@ -297,9 +299,29 @@ def _lattice_form(G: list, cls: str) -> tuple:
     return [[int(x * D) for x in row] for row in Q], D
 
 
-def _form(N: list, c: tuple) -> int:
-    """sum_ab c_a c_b N_ab: 25 integer multiply-adds per lattice point."""
-    return sum(ca * sum(n * cb for n, cb in zip(row, c)) for ca, row in zip(c, N))
+def _lattice_values(N: list, bound: int):
+    """sum_ab c_a c_b N_ab at every point of ``lattice_points(bound)``, in its order.
+
+    The walk fixes one coordinate per level, so points that share a prefix
+    share its work.  Fixing c_k adds c_k (M_kk c_k + lin_k), where
+    M = N + N^T off the diagonal and N on it (N need not be symmetric), and
+    lin_j = sum_(a<k) M_aj c_a carries the prefix into the coordinates
+    still to come.  Integers throughout.
+    """
+    n = len(N)
+    M = [[N[a][b] + N[b][a] if a != b else N[a][a] for b in range(n)] for a in range(n)]
+    rng = range(-bound, bound + 1)
+
+    def level(k, v, lin):
+        d, lk = M[k][k], lin[k]
+        if k == n - 1:
+            yield from [v + c * (d * c + lk) for c in rng]
+            return
+        row = M[k]
+        for c in rng:
+            yield from level(k + 1, v + c * (d * c + lk), [x + m * c for x, m in zip(lin, row)])
+
+    return level(0, 0, [0] * n)
 
 
 def ghost_search(hbar: Fraction = Fraction(2), bound: int = 2) -> GhostWitness:
@@ -310,8 +332,8 @@ def ghost_search(hbar: Fraction = Fraction(2), bound: int = 2) -> GhostWitness:
     """
     hbar = Fraction(hbar)
     N, D = _lattice_form(_gram(fock_wigner(0, hbar), HYPERBOLIC, hbar), HYPERBOLIC)
-    for evaluated, coeffs in enumerate(lattice_points(bound), 1):
-        v = _form(N, coeffs)
+    points = zip(lattice_points(bound), _lattice_values(N, bound))
+    for evaluated, (coeffs, v) in enumerate(points, 1):
         if v < 0:
             g = _lattice_poly(*coeffs, unit=J_SPLIT)
             return GhostWitness(coeffs, Fraction(v, D), g.canonical_str(), evaluated)
@@ -329,7 +351,7 @@ def elliptic_control_sweep(
     best = None
     for m in levels:
         N, D = _lattice_form(_gram(fock_wigner(m, hbar), ELLIPTIC, hbar), ELLIPTIC)
-        r = Fraction(min(_form(N, c) for c in lattice_points(bound)), D)
+        r = Fraction(min(_lattice_values(N, bound)), D)
         if best is None or r < best:
             best = r
     return best

@@ -16,6 +16,7 @@ from compalg.algebra import (
     check_monoid,
     compose_bipartite,
     falsify_nonzero_a,
+    falsify_sweep,
     phase_poly_carrier,
     sample_poly,
     single_product_triviality,
@@ -191,6 +192,34 @@ def test_basis_inverts_decompose():
     assert t == u and t[0] == 6 and bip.add(t, t) == bip.scale(t, Fraction(2))
 
 
+def _decomposed_residual(carrier, x) -> float:
+    """The residual through ``decompose``: one value per coefficient, then the max."""
+    return max(map(algebra._magnitude, carrier.decompose(x).values()), default=0.0)
+
+
+def test_composite_residual_matches_decompose_path():
+    """max |numerator| / den, one int true division, is bit for bit the float
+    of the largest decomposed coefficient, on exact, nested and float composites."""
+    c = phase_poly_carrier(ELLIPTIC, Fraction(1, 2), 1, 3)
+    bip = compose_bipartite(c, c, extra_a=Fraction(1, 3))
+    nested = compose_bipartite(bip, c)
+    m = matrix_carrier(2, Fraction(1))
+    fbip = compose_bipartite(m, m)
+    fnested = compose_bipartite(fbip, m)
+    rng = random.Random(28)
+    for carrier in (bip, nested, fbip, fnested):
+        elems = [carrier.unit] + [carrier.sample(rng) for _ in range(3)]
+        elems += [carrier.alpha(x, y) for x in elems[1:] for y in elems[1:]]
+        elems += [carrier.sub(elems[1], elems[1]), carrier.scale(elems[-1], Fraction(-7, 3))]
+        for x in elems:
+            r = carrier.residual(x)
+            assert type(r) is float and r == _decomposed_residual(carrier, x), (carrier.name, x)
+    assert bip.residual(bip.sub(bip.unit, bip.unit)) == 0.0
+    # 2**53 + 1 has no float, so float(n) / den would round twice and miss by one ulp
+    x = (7, {((0, 0), (0, 0)): 2**53 + 1, ((1, 0), (0, 0)): -5})
+    assert bip.residual(x) == _decomposed_residual(bip, x) != float(2**53 + 1) / 7
+
+
 def _as_dof2(bip, x) -> PhasePoly:
     """A composite of dof-1 factors as a dof-2 poly: ((q1, p1), (q2, p2)) -> (q1, q2, p1, p2)."""
     return PhasePoly(2, {(q1, q2, p1, p2): v for ((q1, p1), (q2, p2)), v in bip.decompose(x).items()})
@@ -231,6 +260,58 @@ def test_expected_fail_report_semantics():
     c = phase_poly_carrier(ELLIPTIC, Fraction(2), 1, 3)
     rep = falsify_nonzero_a(c, c, Fraction(1), count=60, seed=11)
     assert rep.expected == "fail" and rep.failures and rep.passed
+
+
+def _reference_falsify(c, extra_a, count, seed):
+    """One Leibniz-alpha sweep per a through check_identity on the composite
+    with the extra term: the slow-path oracle of falsify_sweep."""
+    rep = check_identity(compose_bipartite(c, c, extra_a=extra_a), "leibniz-alpha", count, seed)
+    rep.expected = "fail" if extra_a else "pass"
+    return rep
+
+
+FALSIFY_EXTRAS = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(0), Fraction(2))
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+@pytest.mark.parametrize("hbar", HBARS)
+def test_falsify_sweep_matches_per_a_sweeps(cls, hbar):
+    """D(a) = D_0 + a D_1 + a^2 D_2 gives each a's failures (sample, residual,
+    witness), max_residual and samples exactly."""
+    c = phase_poly_carrier(cls, hbar, 1, 3)
+    for seed in (3, 12, 29):
+        got = falsify_sweep(c, c, FALSIFY_EXTRAS, count=6, seed=seed)
+        for x, rep in zip(FALSIFY_EXTRAS, got, strict=True):
+            want = _reference_falsify(c, x, 6, seed)
+            assert (rep.failures, rep.max_residual, rep.samples) == (
+                want.failures, want.max_residual, want.samples), (seed, x)
+            assert (rep.identity, rep.carrier, rep.expected) == (want.identity, want.carrier, want.expected)
+
+
+def test_falsify_sweep_draws_each_triple_once(monkeypatch):
+    """One sweep for a = 1, -1, 1/2, 0 at 50 samples makes 900 composite
+    product calls (6 inner and 12 outer per triple); one sweep per a makes 1,200."""
+    calls = []
+    product = algebra._product
+
+    def counted(*args):
+        run = product(*args)
+
+        def wrapped(x, y):
+            calls.append(1)
+            return run(x, y)
+
+        return wrapped
+
+    monkeypatch.setattr(algebra, "_product", counted)
+    c = phase_poly_carrier(ELLIPTIC, Fraction(2), 1, 3)
+    extras = FALSIFY_EXTRAS[:4]
+    got = falsify_sweep(c, c, extras, count=50, seed=3)
+    assert len(calls) == 900
+    calls.clear()
+    want = [_reference_falsify(c, x, 50, 3) for x in extras]
+    assert len(calls) == 1200
+    assert [r.failures for r in got] == [r.failures for r in want]
 
 
 def _reference_product(a, b, prod, extra_a=Fraction(0)):

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -249,21 +250,31 @@ def test_hilbert_suite_checks_the_cstar_identity(monkeypatch):
 
 def test_falsify_suite_counts_the_sweeps_that_ran(monkeypatch):
     from compalg import algebra
-    from compalg.errors import UnexpectedPass
 
-    def fake(a, b, extra_a, count, seed):
-        if extra_a == -1:
-            raise UnexpectedPass("no counterexample")
-        failures = [{"sample": 0}] if extra_a else []
-        return algebra.IdentityReport("leibniz-alpha", a.name, 3, failures,
-                                      expected="fail" if extra_a else "pass")
+    def fake(a, b, extras, count, seed):
+        # the sweep for a = -1 ran its full 50 samples without a counterexample
+        return [
+            algebra.IdentityReport("leibniz-alpha", a.name, 50 if x == -1 else 3,
+                                   [{"sample": 0}] if x and x != -1 else [],
+                                   expected="fail" if x else "pass")
+            for x in extras
+        ]
 
-    monkeypatch.setattr(algebra, "falsify_nonzero_a", fake)
+    monkeypatch.setattr(algebra, "falsify_sweep", fake)
     (suite,) = run(fast_cfg(suites=["falsify-nonzero-a"]))["suites"]
-    # three sweeps report 3 samples each; the raising one ran its full 50
     assert suite["samples"] == 3 + 50 + 3 + 3
     assert suite["verdict"] == "fail" and suite["expected"] == "fail"
     assert suite["witness"] == [{"a": "1", "counterexamples": 1}, {"a": "1/2", "counterexamples": 1}]
+
+
+# sha256 of the default `compalg verify` JSON report at seed 0; a change that
+# moves a byte of it updates this pin and says why in CHANGES.md
+DEFAULT_REPORT_SHA256 = "de67718fb70b6e180761a1f00c5493f8a5d7d1cf1a55922dcabbce5a85eae14a"
+
+
+def test_default_report_bytes_are_pinned():
+    text = report_json(run(parse_config("")))
+    assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_REPORT_SHA256
 
 
 @pytest.mark.parametrize("line", ["seed = abc", "pair_count = x", "hbar = 1/0"])

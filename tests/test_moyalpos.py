@@ -14,9 +14,9 @@ from compalg.errors import (
 from compalg.moyalpos import (
     FOCK_LEVELS,
     GaussPoly,
-    _form,
     _gram,
     _lattice_form,
+    _lattice_values,
     elliptic_control_sweep,
     fock_wigner,
     ghost_search,
@@ -195,6 +195,12 @@ def _lattice_poly(c, unit):
     return PhasePoly.const(c1, 1) + q.scale(c2 + unit * c4) + p.scale(c3 + unit * c5)
 
 
+def _form(N, c) -> int:
+    """sum_ab c_a c_b N_ab at one lattice point, 25 integer multiply-adds: the
+    per-point evaluation the lattice walk replaced, kept as its oracle."""
+    return sum(ca * sum(n * cb for n, cb in zip(row, c)) for ca, row in zip(c, N))
+
+
 def test_gram_form_matches_functional_oracle():
     # the direct functional, with its per-point chain check, is the oracle
     rng = random.Random(5)
@@ -259,3 +265,23 @@ def test_elliptic_gram_psd_certificate():
     # the uncertainty bound, and the {q, p} minor turns negative
     minors = _principal_minors(_gram(fock_wigner(1, Fraction(1, 2)), ELLIPTIC, Fraction(3)))
     assert minors[5] == Fraction(9, 16) - Fraction(9, 4)
+
+
+def _walk_cases():
+    """(name, N) for the lattice forms of the sweeps and a non-symmetric N."""
+    for h in (Fraction(1, 2), H, Fraction(3)):
+        for m in (0, 1):
+            yield f"elliptic-{m}-{h}", _lattice_form(_gram(fock_wigner(m, h), ELLIPTIC, h), ELLIPTIC)[0]
+        yield f"hyperbolic-{h}", _lattice_form(_gram(fock_wigner(0, h), HYPERBOLIC, h), HYPERBOLIC)[0]
+    rng = random.Random(30)
+    yield "non-symmetric", [[rng.randint(-9, 9) for _ in range(5)] for _ in range(5)]
+
+
+def test_lattice_walk_matches_per_point_form():
+    """The prefix walk gives the per-point form at every point, in lattice order."""
+    for name, N in _walk_cases():
+        for bound in (0, 1, 2, 3):
+            want = [_form(N, c) for c in lattice_points(bound)]
+            assert list(_lattice_values(N, bound)) == want, (name, bound)
+    # a negative bound is an empty lattice, as lattice_points makes it
+    assert list(_lattice_values([[1] * 5] * 5, -1)) == []

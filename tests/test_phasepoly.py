@@ -398,3 +398,28 @@ def test_zero_coefficients_dropped():
     f = PhasePoly(1, {(1, 0): Fraction(0), (0, 1): Fraction(2)})
     assert (1, 0) not in f.terms
     assert f == PhasePoly.p().scale(2)
+
+
+def test_public_constructor_keeps_its_checks():
+    with pytest.raises(ValueError):
+        PhasePoly(1, {(1, 0, 0): Fraction(1)})
+    with pytest.raises(ValueError):
+        PhasePoly(2, {(1, 0): Fraction(1)})
+    f = PhasePoly(1, {(1, 0): Fraction(0), (0, 1): J_SPLIT * 0, (1, 1): Fraction(3)})
+    assert f.terms == {(1, 1): Fraction(3)}
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_trusted_results_pass_the_public_checks(cls):
+    """deriv and series skip the constructor's checks; their terms are already
+    zero-free exponent tuples of length 2*dof, so re-checking changes nothing."""
+    rng = random.Random(31)
+    for dof in (1, 2):
+        for _ in range(20):
+            f, g = sample_poly(rng, dof, 4), sample_poly(rng, dof, 4)
+            results = [f.deriv(axis) for axis in range(2 * dof)]
+            results += [sigma(f, g, cls), alpha(f, g, cls), poisson(f, g), f.scale(J_UNIT[cls]).deriv(0)]
+            for r in results:
+                assert r == PhasePoly(dof, r.terms) and r.terms == PhasePoly(dof, r.terms).terms
+                assert all(type(e) is tuple and len(e) == 2 * dof for e in r.terms)
+                assert all(c != 0 for c in r.terms.values())
