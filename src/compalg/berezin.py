@@ -12,7 +12,7 @@ concentrates in the top half.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import pi, sqrt
 
 import numpy as np
@@ -118,6 +118,9 @@ class QuadratureGrid:
     qs: np.ndarray
     ps: np.ndarray
     weights: np.ndarray  # outer product, shape (len(qs), len(ps))
+    # (hbar, N) -> (C, conj(C), einsum path) of berezin_quantize, filled by
+    # the first quantization with that key and shared by every later one
+    plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def build_grid(hbar: float, N: int, max_poly_degree: int) -> QuadratureGrid:
@@ -134,13 +137,18 @@ def build_grid(hbar: float, N: int, max_poly_degree: int) -> QuadratureGrid:
     return QuadratureGrid(R, max_poly_degree, xs, xs.copy(), np.outer(ws, ws))
 
 
+_CONTRACTION = "mij,ij,nij->mn"
+
+
 def berezin_quantize(f: PhasePoly, hbar: float, N: int, grid: QuadratureGrid) -> np.ndarray:
     """Quadrature form of the rank-one integral  int dp dq / 2 pi hbar  f |s><s|.
 
     One coefficient tensor C[n, iq, ip] holds the coherent states of the
     whole grid (one Gauss-Hermite rule, one phase table), and f is taken on
     the grid term by term; the N x N output is Hermitian for real f up to
-    quadrature noise.
+    quadrature noise.  The tensor, its conjugate and the contraction order
+    depend on (hbar, N) and the grid only, so they are built once per key
+    in ``grid.plans``.
     """
     if f.dof != 1:
         raise ValueError("quantization is implemented for one degree of freedom")
@@ -152,9 +160,15 @@ def berezin_quantize(f: PhasePoly, hbar: float, N: int, grid: QuadratureGrid) ->
     fv = np.zeros((len(grid.qs), len(grid.ps)), dtype=complex)
     for (a, b), c in f.terms.items():
         fv += complex(c.real, c.imag) * np.outer(grid.qs**a, grid.ps**b)
-    C = _coeff_tensor(grid.qs, grid.ps, hbar, N, 4 * N + 40)
     kern = grid.weights * fv / (2.0 * pi * hbar)
-    return np.einsum("mij,ij,nij->mn", C, kern, np.conj(C), optimize=True)
+    plan = grid.plans.get((hbar, N))
+    if plan is None:
+        C = _coeff_tensor(grid.qs, grid.ps, hbar, N, 4 * N + 40)
+        conj = np.conj(C)
+        path = np.einsum_path(_CONTRACTION, C, kern, conj, optimize=True)[0]
+        plan = grid.plans[hbar, N] = (C, conj, path)
+    C, conj, path = plan
+    return np.einsum(_CONTRACTION, C, kern, conj, optimize=path)
 
 
 def trusted(m: np.ndarray) -> np.ndarray:

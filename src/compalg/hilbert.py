@@ -3,13 +3,15 @@
 The two products become (i/hbar) times the commutator and the symmetrized
 product; the associative product with the minus sign is literal matrix
 multiplication.  The operator norm is the spectral radius of T^dagger T,
-computed with a self-contained cyclic Jacobi eigensolver that rotates the
-complex Hermitian matrix directly and keeps eigenvalues only.
+computed with a self-contained eigensolver: Householder reduction of the
+complex Hermitian matrix to a real symmetric tridiagonal one, then
+implicit-shift QL on the eigenvalues only.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,66 +54,117 @@ def op_sigma(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Hermitian eigensolver: cyclic complex Jacobi
+# Hermitian eigensolver: Householder tridiagonalization, implicit QL
 # ---------------------------------------------------------------------------
 
-_JACOBI_SWEEPS = 60
-_JACOBI_TOL = 1e-14
+_QL_ITERATIONS = 30  # QL steps allowed per eigenvalue, LAPACK's MAXIT
 
 
-def _jacobi_hermitian(h: np.ndarray) -> np.ndarray:
-    """Cyclic Jacobi on a complex Hermitian matrix; returns the eigenvalues, ascending.
+def _tridiagonalize(a: list) -> tuple[list, list]:
+    """Householder reduction of a full Hermitian matrix of Python scalars.
 
-    Golub & Van Loan section 8.5: the phase e^{i phi} = a_pq/|a_pq| makes the
-    pivot real and the real symmetric rotation zeroes it, A <- U* A U with
-    U = diag(1, e^{-i phi}) [[c, s], [-s, c]] on the (p, q) plane.  No
-    eigenvectors are kept.  A is nested lists of Python scalars: at n <= 16
-    numpy call overhead costs more than the arithmetic.  Only the upper
-    triangle and the real diagonal are read; a rotation writes columns p and
-    q, their Hermitian mirror into rows p and q, and the pivot in closed form.
+    Golub & Van Loan algorithm 8.3.1 in its Hermitian form.  The reflector
+    P = I - beta v v* with v = x - alpha e_1, alpha = -e^{i arg x_0} |x|,
+    sends the column x below the diagonal to alpha e_1; the phase keeps
+    x_0 - alpha free of cancellation and makes v* x real, so P x = alpha e_1.
+    The trailing block takes the rank-2 update A <- A - v w* - w v* with
+    p = beta A v and w = p - (beta v* p / 2) v.  A diagonal unitary
+    similarity turns each complex off-diagonal alpha into |alpha| = |x|
+    without moving the spectrum, so the result is the real diagonal d and
+    the real off-diagonal e (what zhetrd hands to dsterf).  The matrix is
+    nested lists of Python scalars: at n <= 16 numpy call overhead costs
+    more than the arithmetic.
     """
-    upper = np.triu(h, 1)
-    a = upper + upper.conj().T + np.diag(h.diagonal().real)
-    limit = _JACOBI_TOL * max(1.0, float(np.max(np.abs(a))))
-    a = a.tolist()
-    n = len(a)
-    d = [a[i][i].real for i in range(n)]
-    for _ in range(_JACOBI_SWEEPS):
-        rotated = False
-        for p in range(n - 1):
-            ap = a[p]
-            for q in range(p + 1, n):
-                apq = ap[q]
-                mag = abs(apq)
-                if mag <= limit:
-                    continue
-                rotated = True
-                cph = apq.conjugate() / mag
-                tau = (d[q] - d[p]) / (2.0 * mag)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                aq = a[q]
-                for r in range(n):
-                    if r == p or r == q:
-                        continue
-                    ar = a[r]
-                    x, y = ar[p], cph * ar[q]
-                    x, y = c * x - s * y, s * x + c * y
-                    ar[p], ar[q] = x, y
-                    ap[r], aq[r] = x.conjugate(), y.conjugate()
-                d[p] -= t * mag
-                d[q] += t * mag
-                ap[q] = aq[p] = 0j
-        if not rotated:
-            return np.array(sorted(d))
-    raise EigenFailure("Jacobi sweeps did not converge")
+    d, e = [], []
+    while len(a) > 1:
+        d.append(a[0][0].real)
+        v = [row[0] for row in a[1:]]  # x, turned into v in place
+        a = [row[1:] for row in a[1:]]
+        x0 = v[0]
+        mag = abs(x0)
+        if not any(v[1:]):
+            e.append(mag)
+            continue
+        norm = math.hypot(*map(abs, v))
+        v[0] = (x0 / mag if mag else 1.0) * (mag + norm)
+        beta = 1.0 / (norm * (norm + mag))  # 2 / v*v
+        vc = [z.conjugate() for z in v]
+        p = [beta * sum(map(operator.mul, row, v)) for row in a]
+        half = 0.5 * beta * sum(map(operator.mul, vc, p)).real
+        w = [pi - half * vi for pi, vi in zip(p, v)]
+        wc = [z.conjugate() for z in w]
+        a = [[b - vi * wcj - wi * vcj for b, vcj, wcj in zip(row, vc, wc)]
+             for row, vi, wi in zip(a, v, w)]
+        e.append(norm)
+    d.append(a[0][0].real)
+    return d, e
+
+
+def _tridiagonal_ql(d: list, e: list) -> list:
+    """Eigenvalues, ascending, of the real symmetric tridiagonal matrix (d, e).
+
+    Implicit QL with the Wilkinson shift (Golub & Van Loan 8.3.5, in the QL
+    form of tqli): plane rotations chase the bulge from the bottom of the
+    unreduced block [k, m] up to k.  An off-diagonal is negligible when
+    adding it to its neighbouring diagonal magnitudes changes nothing.
+    """
+    n = len(d)
+    e = e + [0.0]
+    for k in range(n):
+        for step in range(_QL_ITERATIONS + 1):
+            m = k
+            while m < n - 1:
+                dd = abs(d[m]) + abs(d[m + 1])
+                if abs(e[m]) + dd == dd:
+                    break
+                m += 1
+            if m == k:
+                break
+            if step == _QL_ITERATIONS:
+                raise EigenFailure("QL iterations did not converge")
+            g = (d[k + 1] - d[k]) / (2.0 * e[k])
+            g = d[m] - d[k] + e[k] / (g + math.copysign(math.hypot(g, 1.0), g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, k - 1, -1):
+                f, b = s * e[i], c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:  # underflow: e[i + 1] is zero, restart on the split block
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[k] -= p
+                e[k] = g
+                e[m] = 0.0
+    return sorted(d)
 
 
 def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues (ascending) of a Hermitian matrix."""
+    """Eigenvalues (ascending) of a Hermitian matrix.
+
+    Only the upper triangle and the real part of the diagonal are read; a
+    non-finite entry among them raises EigenFailure.  The matrix is scaled
+    by the power of two that brings its largest magnitude into [1/2, 1), so
+    the squares in the reduction neither overflow nor underflow; the
+    scaling is exact and the eigenvalues are scaled back.
+    """
     _check_square(a)
-    return _jacobi_hermitian(a)
+    upper = np.triu(a, 1)
+    full = np.asarray(upper + upper.conj().T + np.diag(a.diagonal().real), dtype=complex)
+    peak = float(np.max(np.abs(full)))
+    if not math.isfinite(peak):
+        raise EigenFailure("matrix has a non-finite entry")
+    exp = math.frexp(peak)[1]
+    unit = np.ldexp(full.view(float), -exp).view(complex)
+    return np.ldexp(_tridiagonal_ql(*_tridiagonalize(unit.tolist())), exp)
 
 
 def spectral_norm(t: np.ndarray) -> float:
@@ -133,10 +186,10 @@ def cstar_check(t: np.ndarray, rtol: float = 1e-10) -> bool:
 # ---------------------------------------------------------------------------
 
 def sample_hermitian(rng: random.Random, dim: int) -> np.ndarray:
-    m = np.array(
-        [[complex(rng.gauss(0, 2.0), rng.gauss(0, 2.0)) for _ in range(dim)]
-         for _ in range(dim)]
-    )
+    """(M + M*)/2 for M with N(0, 2) real and imaginary parts, drawn row by
+    row, real part first; one flat draw viewed as complex pairs."""
+    flat = [rng.gauss(0, 2.0) for _ in range(2 * dim * dim)]
+    m = np.array(flat).view(complex).reshape(dim, dim)
     return 0.5 * (m + m.conj().T)
 
 

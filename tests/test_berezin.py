@@ -193,8 +193,10 @@ def test_coefficient_tensor_matches_poisson_weights_on_the_grid(hbar):
     assert err <= 1e-9
 
 
+OPERATOR_POLYS = (ONE, Q, P, Q * Q, Q * Q + P * P)
+
+
 def test_one_hermite_rule_and_no_pointwise_evaluation_per_quantization(monkeypatch):
-    grid = build_grid(1.0, 16, 2)
     counts = {"hermegauss": 0, "eval_float": 0}
     hermegauss = np.polynomial.hermite_e.hermegauss
     eval_float = PhasePoly.eval_float
@@ -209,5 +211,30 @@ def test_one_hermite_rule_and_no_pointwise_evaluation_per_quantization(monkeypat
 
     monkeypatch.setattr(np.polynomial.hermite_e, "hermegauss", counted_hermegauss)
     monkeypatch.setattr(PhasePoly, "eval_float", counted_eval_float)
-    berezin_quantize(Q * Q + P * P, 1.0, 16, grid)
+    grid = build_grid(1.0, 16, 4)
+    assert counts["hermegauss"] == 0 and grid.plans == {}  # build_grid builds no tensor
+    for f in OPERATOR_POLYS:  # one grid's polynomials share one tensor
+        berezin_quantize(f, 1.0, 16, grid)
     assert counts == {"hermegauss": 1, "eval_float": 0}
+    assert list(grid.plans) == [(1.0, 16)]
+
+
+def _unmemoized_quantize(f, hbar, N, grid):
+    """berezin_quantize with a fresh tensor and a fresh contraction plan."""
+    fv = np.zeros((len(grid.qs), len(grid.ps)), dtype=complex)
+    for (a, b), c in f.terms.items():
+        fv += complex(c.real, c.imag) * np.outer(grid.qs**a, grid.ps**b)
+    C = _coeff_tensor(grid.qs, grid.ps, hbar, N, 4 * N + 40)
+    kern = grid.weights * fv / (2.0 * pi * hbar)
+    return np.einsum("mij,ij,nij->mn", C, kern, np.conj(C), optimize=True)
+
+
+def test_memoized_quantization_is_bit_identical_per_key():
+    grid = build_grid(1.0, 16, 4)
+    keys = ((1.0, 16), (0.5, 16), (0.5, 12))  # each part of the key matters
+    for _ in range(2):  # the first pass fills the memo, the second reads it
+        for hbar, N in keys:
+            for f in OPERATOR_POLYS + (Q * P,):
+                got = berezin_quantize(f, hbar, N, grid)
+                assert np.array_equal(got, _unmemoized_quantize(f, hbar, N, grid))
+    assert sorted(grid.plans) == sorted(keys)

@@ -45,6 +45,10 @@ def test_op_shape_checks():
         op_sigma(np.ones((2, 3)), np.ones((2, 3)))
 
 
+_JACOBI_SWEEPS = 60
+_JACOBI_TOL = 1e-14
+
+
 def _reference_jacobi(h):
     """The slow path: cyclic Jacobi on numpy rows with the eigenvectors.
 
@@ -54,8 +58,8 @@ def _reference_jacobi(h):
     n = h.shape[0]
     av = np.vstack([np.array(h, dtype=complex), np.eye(n, dtype=complex)])
     a, v = av[:n], av[n:]
-    limit = hilbert._JACOBI_TOL * max(1.0, float(np.max(np.abs(a))))
-    for _ in range(hilbert._JACOBI_SWEEPS):
+    limit = _JACOBI_TOL * max(1.0, float(np.max(np.abs(a))))
+    for _ in range(_JACOBI_SWEEPS):
         off = 0.0
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -150,10 +154,59 @@ def test_eigensolver_reads_the_upper_triangle():
     assert np.array_equal(hermitian_eigenvalues(garbled), hermitian_eigenvalues(a))
 
 
+@pytest.mark.parametrize("k", [-1000, -520, 520, 1000])
+def test_eigensolver_is_exact_under_power_of_two_scaling(k):
+    # squared entries leave the float range past 2**(+-512); the solver
+    # scales to unit magnitude first, and a power of two scales exactly
+    a = sample_hermitian(random.Random(4), 8)
+    scaled = np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k)
+    assert np.array_equal(hermitian_eigenvalues(scaled), np.ldexp(hermitian_eigenvalues(a), k))
+
+
 def test_non_convergence_raises(monkeypatch):
-    monkeypatch.setattr(hilbert, "_JACOBI_SWEEPS", 1)
+    monkeypatch.setattr(hilbert, "_QL_ITERATIONS", 1)
     with pytest.raises(EigenFailure):
         hermitian_eigenvalues(sample_hermitian(random.Random(0), 8))
+
+
+@pytest.mark.parametrize("index, bad", [
+    ((1, 3), np.inf),  # once skipped every pivot: eye(4)'s eigenvalues came back
+    ((1, 3), complex(0, -np.inf)),
+    ((0, 1), np.nan),
+    ((2, 2), np.inf),
+    ((2, 2), np.nan),
+])
+def test_non_finite_entry_raises(index, bad):
+    a = np.eye(4, dtype=complex)
+    a[index] = bad
+    with pytest.raises(EigenFailure):
+        hermitian_eigenvalues(a)
+
+
+def test_non_finite_entries_that_are_not_read_are_ignored():
+    a = np.eye(4, dtype=complex)
+    a[3, 1] = np.nan  # below the diagonal
+    a[2, 2] = complex(2.0, np.inf)  # imaginary part of the diagonal
+    assert np.array_equal(hermitian_eigenvalues(a), [1.0, 1.0, 1.0, 2.0])
+
+
+def _reference_sample_hermitian(rng, dim):
+    """The nested construction: one complex(real, imag) per entry, row by row."""
+    m = np.array(
+        [[complex(rng.gauss(0, 2.0), rng.gauss(0, 2.0)) for _ in range(dim)]
+         for _ in range(dim)]
+    )
+    return 0.5 * (m + m.conj().T)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_sample_hermitian_matches_nested_construction(dim):
+    rng, ref_rng = random.Random(dim), random.Random(dim)
+    for _ in range(3):
+        got, ref = sample_hermitian(rng, dim), _reference_sample_hermitian(ref_rng, dim)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.array_equal(got, ref)
+    assert rng.getstate() == ref_rng.getstate()
 
 
 def test_spectral_norm_against_numpy_oracle():
