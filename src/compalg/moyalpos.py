@@ -11,8 +11,9 @@ makes the elliptic/hyperbolic positivity split decidable, not numeric.
 It is sesquilinear in the coefficients of g, so the lattice sweeps read it
 off one exact 3x3 Gram matrix over {1, q, p} per state instead of
 expanding a star product at every lattice point, as an integer quadratic
-form that one walk evaluates coordinate by coordinate: lattice points that
-share a prefix share its work.
+form evaluated on integer arrays, one per value of the leading coordinate
+(int64 while the form's bound allows it, Python ints beyond), so the ghost
+search stops at the first array that holds a negative value.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
+
+import numpy as np
 
 from .errors import ExhaustedWithoutWitness, NonNormalized, UnsupportedLevel
 from .phasepoly import (
@@ -299,29 +302,50 @@ def _lattice_form(G: list, cls: str) -> tuple:
     return [[int(x * D) for x in row] for row in Q], D
 
 
-def _lattice_values(N: list, bound: int):
-    """sum_ab c_a c_b N_ab at every point of ``lattice_points(bound)``, in its order.
+def _lattice_chunks(N: list, bound: int):
+    """sum_ab c_a c_b N_ab over ``lattice_points(bound)``, in its order: one
+    integer array per value of the leading coordinate c_0.
 
-    The walk fixes one coordinate per level, so points that share a prefix
-    share its work.  Fixing c_k adds c_k (M_kk c_k + lin_k), where
-    M = N + N^T off the diagonal and N on it (N need not be symmetric), and
-    lin_j = sum_(a<k) M_aj c_a carries the prefix into the coordinates
-    still to come.  Integers throughout.
+    With c = (c_0, r), the value is N_00 c_0^2 + c_0 (l . r) + r^T N' r, where
+    l_b = N_0b + N_b0 and N' is N without its first row and column (N need
+    not be symmetric).  The tail terms l . r and r^T N' r are built once on
+    the grid of r, one broadcast coordinate axis per entry of r, and each
+    chunk is one multiply-add on them.  No entry of N and no partial sum
+    exceeds max(bound, 1)^2 sum|N_ab| in magnitude, so the arrays are int64
+    below 2**62 and Python ints (dtype object) above it.
     """
     n = len(N)
-    M = [[N[a][b] + N[b][a] if a != b else N[a][a] for b in range(n)] for a in range(n)]
-    rng = range(-bound, bound + 1)
+    m = 2 * bound + 1
+    if m <= 0:  # a negative bound is an empty lattice
+        return
+    dtype = np.int64 if max(bound, 1) ** 2 * sum(abs(x) for row in N for x in row) < 2**62 else object
+    axis = np.arange(-bound, bound + 1, dtype=dtype)
+    r = [axis.reshape([m if a == b else 1 for a in range(n - 1)]) for b in range(n - 1)]
+    lin = np.zeros((m,) * (n - 1), dtype)
+    quad = np.zeros((m,) * (n - 1), dtype)
+    for a in range(1, n):
+        lin += (N[0][a] + N[a][0]) * r[a - 1]
+        for b in range(1, n):
+            quad += N[a][b] * (r[a - 1] * r[b - 1])
+    lin, quad = lin.ravel(), quad.ravel()
+    for c in range(-bound, bound + 1):
+        yield N[0][0] * c * c + c * lin + quad
 
-    def level(k, v, lin):
-        d, lk = M[k][k], lin[k]
-        if k == n - 1:
-            yield from [v + c * (d * c + lk) for c in rng]
-            return
-        row = M[k]
-        for c in rng:
-            yield from level(k + 1, v + c * (d * c + lk), [x + m * c for x, m in zip(lin, row)])
 
-    return level(0, 0, [0] * n)
+def _lattice_values(N: list, bound: int):
+    """The values of ``_lattice_chunks`` one by one, as Python ints."""
+    for chunk in _lattice_chunks(N, bound):
+        yield from chunk.tolist()
+
+
+def _lattice_point(index: int, bound: int) -> tuple:
+    """The point at ``index`` of ``lattice_points(bound)``: its base-m digits."""
+    m = 2 * bound + 1
+    digits = []
+    for _ in _LATTICE_AXES:  # one digit per coordinate, the last one first
+        index, d = divmod(index, m)
+        digits.append(d - bound)
+    return tuple(reversed(digits))
 
 
 def ghost_search(hbar: Fraction = Fraction(2), bound: int = 2) -> GhostWitness:
@@ -332,11 +356,13 @@ def ghost_search(hbar: Fraction = Fraction(2), bound: int = 2) -> GhostWitness:
     """
     hbar = Fraction(hbar)
     N, D = _lattice_form(_gram(fock_wigner(0, hbar), HYPERBOLIC, hbar), HYPERBOLIC)
-    points = zip(lattice_points(bound), _lattice_values(N, bound))
-    for evaluated, (coeffs, v) in enumerate(points, 1):
-        if v < 0:
+    for i, chunk in enumerate(_lattice_chunks(N, bound)):
+        if chunk.min() < 0:
+            j, v = next((j, v) for j, v in enumerate(chunk.tolist()) if v < 0)
+            k = i * chunk.size + j  # the point's index in lattice_points order
+            coeffs = _lattice_point(k, bound)
             g = _lattice_poly(*coeffs, unit=J_SPLIT)
-            return GhostWitness(coeffs, Fraction(v, D), g.canonical_str(), evaluated)
+            return GhostWitness(coeffs, Fraction(v, D), g.canonical_str(), k + 1)
     raise ExhaustedWithoutWitness(f"no negative value on lattice bound {bound}")
 
 
@@ -351,7 +377,7 @@ def elliptic_control_sweep(
     best = None
     for m in levels:
         N, D = _lattice_form(_gram(fock_wigner(m, hbar), ELLIPTIC, hbar), ELLIPTIC)
-        r = Fraction(min(_lattice_values(N, bound)), D)
+        r = Fraction(min(int(chunk.min()) for chunk in _lattice_chunks(N, bound)), D)
         if best is None or r < best:
             best = r
     return best

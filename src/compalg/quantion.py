@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -157,10 +157,15 @@ def _gamma_weyl() -> list:
 
 @dataclass(frozen=True)
 class GammaRep:
-    """A labelled candidate set of gamma matrices."""
+    """A labelled candidate set of gamma matrices.
+
+    ``checked`` memoizes the verdict of ``clifford_check`` on ``gammas``, so
+    each rep is validated once however many currents it computes.
+    """
 
     label: str
     gammas: tuple
+    checked: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def clifford_check(gammas, tol: float = 1e-12) -> bool:
@@ -202,7 +207,9 @@ def dirac_current(psi: np.ndarray, gammas) -> np.ndarray:
 
 def dirac_current_check(q: Quantion, rep: GammaRep, tol: float = 1e-12) -> bool:
     """anorm components equal the spinor current in the given representation."""
-    if not clifford_check(rep.gammas):
+    if "clifford" not in rep.checked:
+        rep.checked["clifford"] = clifford_check(rep.gammas)
+    if not rep.checked["clifford"]:
         raise CliffordViolation(rep.label)
     a = anorm(q)
     j = dirac_current(to_spinor(q), rep.gammas)

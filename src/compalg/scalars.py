@@ -9,7 +9,10 @@ inequality, and the minimizer non-uniqueness witness.
 The three J-scalar classes speak Python's number protocol (PEP 3141): like
 ``int``, ``Fraction``, ``float`` and ``complex``, each answers ``real``,
 ``imag`` and ``conjugate()``, so every exact coefficient is read the same
-way and no caller dispatches on its type.
+way and no caller dispatches on its type.  Inside, a J-scalar is one
+canonical integer triple (den, re, im) for (re + J im) / den, with den > 0
+and gcd(den, re, im) = 1: arithmetic stays on the integers, with one gcd
+per result, and the para-geometry reads the numerators directly.
 """
 
 from __future__ import annotations
@@ -17,72 +20,108 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import PreconditionViolated
 
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return None
+def _make(cls, den: int, re: int, im: int):
+    """The canonical (den, re, im) of cls: one gcd, den > 0 on entry."""
+    g = gcd(den, re, im)
+    if g != 1:
+        den //= g
+        re //= g
+        im //= g
+    z = object.__new__(cls)
+    z._den = den
+    z._re = re
+    z._im = im
+    return z
 
 
 class _Pair:
-    """Common machinery for two-component scalar extensions of Q."""
+    """Common machinery for two-component scalar extensions of Q.
 
-    __slots__ = ("real", "imag")
-    # subclass sets: _unit_sq = j*j as a Fraction
-    _unit_sq: Fraction
+    A value (re + J im) / den is stored as one integer triple with den > 0
+    and gcd(den, re, im) = 1, so equal values are equal triples.  Arithmetic
+    stays on the integers, with one gcd per result; ``real`` and ``imag``
+    are read-only and build their Fractions only when asked.
+    """
+
+    __slots__ = ("_den", "_re", "_im")
+    # subclass sets: _unit_sq = J*J as an int
+    _unit_sq: int
     _symbol: str
 
     def __init__(self, real=0, imag=0):
-        # a Fraction is kept as it is; re-wrapping it would build a copy
-        object.__setattr__(self, "real", real if isinstance(real, Fraction) else Fraction(real))
-        object.__setattr__(self, "imag", imag if isinstance(imag, Fraction) else Fraction(imag))
+        # an int or a Fraction is read through its numerator and denominator
+        if not isinstance(real, (int, Fraction)):
+            real = Fraction(real)
+        if not isinstance(imag, (int, Fraction)):
+            imag = Fraction(imag)
+        a, b = real.numerator, real.denominator
+        c, d = imag.numerator, imag.denominator
+        if b != d:
+            den = lcm(b, d)
+            a, c, b = a * (den // b), c * (den // d), den
+        # both parts in lowest terms over their lcm: the triple is canonical
+        self._den, self._re, self._im = b, a, c
 
-    def __setattr__(self, *a):
-        raise AttributeError("immutable scalar")
+    @property
+    def real(self) -> Fraction:
+        return Fraction(self._re, self._den)
 
-    def _coerce(self, other):
+    @property
+    def imag(self) -> Fraction:
+        return Fraction(self._im, self._den)
+
+    def _triple(self, other):
+        """other as (den, re, im) in this class, or None if it does not coerce."""
         if isinstance(other, type(self)):
-            return other
-        f = _as_fraction(other)
-        if f is not None:
-            return type(self)(f, 0)
+            return other._den, other._re, other._im
+        if isinstance(other, int):
+            return 1, other, 0
+        if isinstance(other, Fraction):
+            return other.denominator, other.numerator, 0
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        t = self._triple(other)
+        if t is None:
             return NotImplemented
-        return type(self)(self.real + o.real, self.imag + o.imag)
+        d, a, b = t
+        e = self._den
+        return _make(type(self), e * d, self._re * d + a * e, self._im * d + b * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        t = self._triple(other)
+        if t is None:
             return NotImplemented
-        return type(self)(self.real - o.real, self.imag - o.imag)
+        d, a, b = t
+        e = self._den
+        return _make(type(self), e * d, self._re * d - a * e, self._im * d - b * e)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        t = self._triple(other)
+        if t is None:
             return NotImplemented
-        return o - self
+        d, a, b = t
+        e = self._den
+        return _make(type(self), e * d, a * e - self._re * d, b * e - self._im * d)
 
     def __neg__(self):
-        return type(self)(-self.real, -self.imag)
+        return _make(type(self), self._den, -self._re, -self._im)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        t = self._triple(other)
+        if t is None:
             return NotImplemented
-        return type(self)(
-            self.real * o.real + self._unit_sq * self.imag * o.imag,
-            self.real * o.imag + self.imag * o.real,
+        d, a, b = t
+        re, im = self._re, self._im
+        return _make(
+            type(self), self._den * d, re * a + self._unit_sq * im * b, re * b + im * a
         )
 
     __rmul__ = __mul__
@@ -90,58 +129,65 @@ class _Pair:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = type(self)(1, 0)
+        a, b = 1, 0
+        u, re, im = self._unit_sq, self._re, self._im
         for _ in range(k):
-            out = out * self
-        return out
+            a, b = a * re + u * b * im, a * im + b * re
+        return _make(type(self), self._den**k, a, b)
 
     def __truediv__(self, other):
-        f = _as_fraction(other)
-        if f is not None:
-            return type(self)(self.real / f, self.imag / f)
-        return NotImplemented
+        if isinstance(other, int):
+            n, m = other, 1
+        elif isinstance(other, Fraction):
+            n, m = other.numerator, other.denominator
+        else:
+            return NotImplemented
+        if n == 0:
+            raise ZeroDivisionError(f"{self!r} / 0")
+        if n < 0:
+            n, m = -n, -m
+        return _make(type(self), self._den * n, self._re * m, self._im * m)
 
     def __eq__(self, other):
-        if isinstance(other, type(self)):
-            return self.real == other.real and self.imag == other.imag
-        f = _as_fraction(other)
-        if f is not None:
-            return self.imag == 0 and self.real == f
-        return NotImplemented
+        t = self._triple(other)
+        if t is None:
+            return NotImplemented
+        # canonical triples on both sides: equal values are equal triples
+        return (self._den, self._re, self._im) == t
 
     def __hash__(self):
-        if self.imag == 0:
+        if self._im == 0:
             return hash(self.real)
         return hash((type(self).__name__, self.real, self.imag))
 
     def __bool__(self):
-        return self.real != 0 or self.imag != 0
+        return self._re != 0 or self._im != 0
 
     def conjugate(self):
-        return type(self)(self.real, -self.imag)
+        return _make(type(self), self._den, self._re, -self._im)
 
     def __repr__(self):
-        return f"({self.real}{'+' if self.imag >= 0 else ''}{self.imag}{self._symbol})"
+        return f"({self.real}{'+' if self._im >= 0 else ''}{self.imag}{self._symbol})"
 
 
 class SplitComplex(_Pair):
     """real + j*imag with j*j = +1."""
 
-    _unit_sq = Fraction(1)
+    _unit_sq = 1
     _symbol = "j"
 
 
 class DualNumber(_Pair):
     """real + eps*imag with eps*eps = 0."""
 
-    _unit_sq = Fraction(0)
+    _unit_sq = 0
     _symbol = "eps"
 
 
 class ComplexRational(_Pair):
     """real + i*imag with i*i = -1."""
 
-    _unit_sq = Fraction(-1)
+    _unit_sq = -1
     _symbol = "i"
 
 
@@ -150,9 +196,14 @@ EPS_DUAL = DualNumber(0, 1)
 I_COMPLEX = ComplexRational(0, 1)
 
 
+def _norm_num(z: SplitComplex) -> int:
+    """Numerator of the signed square over z's den**2: re^2 - im^2."""
+    return z._re * z._re - z._im * z._im
+
+
 def para_square(z: SplitComplex) -> Fraction:
     """Signed square z* z = real^2 - imag^2 (exact)."""
-    return z.real * z.real - z.imag * z.imag
+    return Fraction(_norm_num(z), z._den * z._den)
 
 
 def _sign(x) -> int:
@@ -169,7 +220,8 @@ class Branch(Enum):
 
 def quadrant_of(z: SplitComplex) -> Branch:
     """Which quadrant z lies in; the null cone when |real| = |imag|."""
-    x, y = z.real, z.imag
+    # the numerators over den > 0 lie in the same quadrant as the value
+    x, y = z._re, z._im
     if abs(x) == abs(y):
         return Branch.NULL_CONE
     if abs(x) > abs(y):
@@ -192,7 +244,7 @@ def check_polarization_parallelogram(
     return lhs_pol == rhs_pol, lhs_par == rhs_par
 
 
-def _sqrt_geq_sum(a: Fraction, b: Fraction, c: Fraction) -> bool:
+def _sqrt_geq_sum(a, b, c) -> bool:
     """Exact test of sqrt(a) >= sqrt(b) + sqrt(c) for non-negative rationals."""
     d = a - b - c
     if d < 0:
@@ -205,7 +257,8 @@ def check_reversed_triangle(z: SplitComplex, w: SplitComplex) -> bool:
 
     Raises PreconditionViolated when z, w, z+w are not all strictly inside
     one quadrant: that is the domain restriction of the inequality, not a
-    failure of it.
+    failure of it.  Every seminorm is scaled by one common denominator D
+    (that of z + w divides it), so the test runs on integers.
     """
     s = z + w
     qs = {quadrant_of(z), quadrant_of(w), quadrant_of(s)}
@@ -214,7 +267,9 @@ def check_reversed_triangle(z: SplitComplex, w: SplitComplex) -> bool:
             "reversed triangle inequality needs all of z, w, z+w strictly "
             "inside one quadrant"
         )
-    return _sqrt_geq_sum(abs(para_square(s)), abs(para_square(z)), abs(para_square(w)))
+    den = lcm(z._den, w._den)
+    # D^2 N(v) = |re^2 - im^2| (D / den_v)^2 for v = z + w, z, w
+    return _sqrt_geq_sum(*(abs(_norm_num(v)) * (den // v._den) ** 2 for v in (s, z, w)))
 
 
 def para_cauchy_schwarz_holds(x: SplitComplex, y: SplitComplex) -> bool:
@@ -222,13 +277,14 @@ def para_cauchy_schwarz_holds(x: SplitComplex, y: SplitComplex) -> bool:
 
     Raises PreconditionViolated when the sign condition ‖x‖·‖y‖ >= 0 fails.
     """
-    nx, ny = para_square(x), para_square(y)
-    sx, sy = _sign(nx), _sign(ny)
-    if sx * sy < 0:
+    nx, ny = _norm_num(x), _norm_num(y)
+    if _sign(nx) * _sign(ny) < 0:
         raise PreconditionViolated("para-Cauchy-Schwarz requires ‖x‖·‖y‖ >= 0")
-    # |<x,y>|^2 = |N(x) N(y)|, (‖x‖‖y‖)^2 = |N(x)||N(y)| with sign +
-    lhs_sq = abs(para_square(x.conjugate() * y))
-    rhs_sq = abs(nx) * abs(ny)
+    # |<x,y>|^2 = |N(x) N(y)|, (‖x‖‖y‖)^2 = |N(x)||N(y)| with sign +; both
+    # sides over (den_x den_y den_<x,y>)^2, so their numerators compare
+    xy = x.conjugate() * y
+    lhs_sq = abs(_norm_num(xy)) * (x._den * y._den) ** 2
+    rhs_sq = abs(nx) * abs(ny) * xy._den**2
     return lhs_sq >= rhs_sq
 
 

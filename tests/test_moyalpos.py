@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 import sympy as sp
 
@@ -15,6 +16,7 @@ from compalg.moyalpos import (
     FOCK_LEVELS,
     GaussPoly,
     _gram,
+    _lattice_chunks,
     _lattice_form,
     _lattice_values,
     elliptic_control_sweep,
@@ -285,3 +287,36 @@ def test_lattice_walk_matches_per_point_form():
             assert list(_lattice_values(N, bound)) == want, (name, bound)
     # a negative bound is an empty lattice, as lattice_points makes it
     assert list(_lattice_values([[1] * 5] * 5, -1)) == []
+
+
+def test_lattice_values_beyond_int64_match_per_point_form():
+    # entries near 2**61: every value is exact only as a Python int, and
+    # int64 arithmetic would wrap silently at these bounds
+    rng = random.Random(31)
+    N = [[rng.choice((-1, 1)) * (2**61 + rng.randint(0, 2**40)) for _ in range(5)] for _ in range(5)]
+    for bound in (1, 2):
+        want = [_form(N, c) for c in lattice_points(bound)]
+        assert max(abs(v) for v in want) > 2**63
+        got = list(_lattice_values(N, bound))
+        assert got == want
+        assert all(type(v) is int for v in got)
+    # the same form scaled down stays on int64 and agrees as well
+    small = [[x >> 40 for x in row] for row in N]
+    chunks = list(_lattice_chunks(small, 2))
+    assert len(chunks) == 5 and all(c.dtype == np.int64 and c.size == 5**4 for c in chunks)
+    assert [v for c in chunks for v in c.tolist()] == [_form(small, c) for c in lattice_points(2)]
+    assert list(_lattice_chunks(N, 2))[0].dtype == object
+
+
+@pytest.mark.parametrize("h", HBARS)
+@pytest.mark.parametrize("bound", (2, 3))
+def test_ghost_search_decodes_point_and_count(h, bound):
+    w = ghost_search(h, bound)
+    points = list(lattice_points(bound))
+    assert w.evaluated == points.index(w.coeffs) + 1
+    assert all(type(c) is int for c in w.coeffs)
+    assert type(w.value_real.numerator) is int and type(w.value_real.denominator) is int
+    # the witness is the first negative value of the per-point form
+    N, D = _lattice_form(_gram(fock_wigner(0, h), HYPERBOLIC, h), HYPERBOLIC)
+    values = [_form(N, c) for c in points[: w.evaluated]]
+    assert all(v >= 0 for v in values[:-1]) and Fraction(values[-1], D) == w.value_real

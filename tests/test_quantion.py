@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from compalg import quantion
 from compalg.errors import CliffordViolation
 from compalg.phasepoly import PhasePoly
 from compalg.quantion import (
@@ -96,6 +97,32 @@ def test_clifford_violation_raised():
     bad = GammaRep("broken", tuple(np.eye(4, dtype=complex) for _ in range(4)))
     with pytest.raises(CliffordViolation):
         dirac_current_check(Q_ONE, bad)
+
+
+def test_each_rep_is_clifford_checked_once(monkeypatch):
+    calls = []
+
+    def counting_check(gammas, tol=1e-12):
+        calls.append(id(gammas))
+        return clifford_check(gammas, tol)
+
+    monkeypatch.setattr(quantion, "clifford_check", counting_check)
+    best = rep_discovery(seed=0)  # 96 candidates, 20 probes each, then 20 rechecks
+    assert len(calls) == len(set(calls)) == 96
+    rng = random.Random(9)
+    assert all(dirac_current_check(sample_quantion(rng), best) for _ in range(50))
+    assert len(calls) == 96
+    # the memo is per rep: a rep with the same label built again is checked again
+    again = next(r for r in candidate_reps() if r.label == best.label)
+    assert again is not best
+    dirac_current_check(Q_ONE, again)
+    assert len(calls) == 97
+    # a broken rep raises on every call, from one check
+    bad = GammaRep("broken", tuple(np.eye(4, dtype=complex) for _ in range(4)))
+    for _ in range(3):
+        with pytest.raises(CliffordViolation):
+            dirac_current_check(Q_ONE, bad)
+    assert len(calls) == 98
 
 
 def test_rep_discovery_unique_winner():

@@ -73,7 +73,9 @@ def test_j_scalars_speak_the_number_protocol(cls):
 
 
 def test_pair_keeps_fraction_components(monkeypatch):
-    a, b = Fraction(1, 3), Fraction(-2, 5)
+    # components are read as integer numerators over one denominator, and
+    # arithmetic stays on them: a Fraction is built only when real or imag is read
+    a, b, c = Fraction(1, 3), Fraction(-2, 5), Fraction(3, 7)
     calls = []
     new = Fraction.__new__
 
@@ -83,10 +85,239 @@ def test_pair_keeps_fraction_components(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
     z = SplitComplex(a, b)
+    w = SplitComplex(a, 2)
+    out = ((z + w) * z - w / c + 2 * z.conjugate()) ** 2 / 5 - a
+    assert out != z and out == out * 1
     assert calls == []
-    assert z.real is a and z.imag is b
-    w = SplitComplex(1, 2)  # any other argument is converted as before
-    assert type(w.real) is Fraction and len(calls) == 2
+    assert z.real == a and z.imag == b
+    assert type(z.real) is Fraction and type(z.imag) is Fraction
+    assert type(SplitComplex(1, 2).real) is Fraction
+
+
+class _FractionPair:
+    """The Fraction-pair representation the integer triple replaced, kept as
+    its oracle: each component a Fraction, one Fraction per operation."""
+
+    __slots__ = ("real", "imag")
+    _unit_sq: Fraction
+    _symbol: str
+
+    def __init__(self, real=0, imag=0):
+        object.__setattr__(self, "real", real if isinstance(real, Fraction) else Fraction(real))
+        object.__setattr__(self, "imag", imag if isinstance(imag, Fraction) else Fraction(imag))
+
+    def __setattr__(self, *a):
+        raise AttributeError("immutable scalar")
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return type(self)(other, 0)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return type(self)(self.real + o.real, self.imag + o.imag)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return type(self)(self.real - o.real, self.imag - o.imag)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __neg__(self):
+        return type(self)(-self.real, -self.imag)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return type(self)(
+            self.real * o.real + self._unit_sq * self.imag * o.imag,
+            self.real * o.imag + self.imag * o.real,
+        )
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if not isinstance(k, int) or k < 0:
+            return NotImplemented
+        out = type(self)(1, 0)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            f = Fraction(other)
+            return type(self)(self.real / f, self.imag / f)
+        return NotImplemented
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return self.real == other.real and self.imag == other.imag
+        if isinstance(other, (int, Fraction)):
+            return self.imag == 0 and self.real == other
+        return NotImplemented
+
+    def __hash__(self):
+        if self.imag == 0:
+            return hash(self.real)
+        return hash((type(self).__name__, self.real, self.imag))
+
+    def __bool__(self):
+        return self.real != 0 or self.imag != 0
+
+    def conjugate(self):
+        return type(self)(self.real, -self.imag)
+
+    def __repr__(self):
+        return f"({self.real}{'+' if self.imag >= 0 else ''}{self.imag}{self._symbol})"
+
+
+# the oracle classes carry the same names, so the tuple hashes agree too
+_ORACLE = {
+    cls: type(cls.__name__, (_FractionPair,), {"_unit_sq": Fraction(u), "_symbol": sym})
+    for cls, u, sym in ((SplitComplex, 1, "j"), (DualNumber, 0, "eps"), (ComplexRational, -1, "i"))
+}
+
+
+def _assert_same(z, ref):
+    assert type(z).__name__ == type(ref).__name__
+    for part in ("real", "imag"):
+        got, want = getattr(z, part), getattr(ref, part)
+        assert got == want and type(got) is type(want) is Fraction, (part, z, ref)
+    assert repr(z) == repr(ref)
+    assert hash(z) == hash(ref)
+    assert bool(z) == bool(ref)
+
+
+@pytest.mark.parametrize("cls", [SplitComplex, DualNumber, ComplexRational])
+def test_integer_pair_matches_fraction_pair_oracle(cls):
+    oracle = _ORACLE[cls]
+    rng = random.Random(16)
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6)))
+
+    def operand():
+        """(new, oracle) views of one int, Fraction or same-class value."""
+        kind = rng.randrange(3)
+        if kind == 0:
+            x = rng.randint(-6, 6)
+            return x, x
+        if kind == 1:
+            x = rational()
+            return x, x
+        a, b = rational(), rational() if rng.random() < 0.8 else 0
+        return cls(a, b), oracle(a, b)
+
+    ops = ("+", "r+", "-", "r-", "*", "r*", "/", "**", "neg", "conj")
+    for _ in range(300):
+        a, b = rational(), rational()
+        z, ref = cls(a, b), oracle(a, b)
+        _assert_same(z, ref)
+        for _ in range(6):
+            op = rng.choice(ops)
+            x, xr = operand()
+            if op == "+":
+                z, ref = z + x, ref + xr
+            elif op == "r+":
+                z, ref = x + z, xr + ref
+            elif op == "-":
+                z, ref = z - x, ref - xr
+            elif op == "r-":
+                z, ref = x - z, xr - ref
+            elif op == "*":
+                z, ref = z * x, ref * xr
+            elif op == "r*":
+                z, ref = x * z, xr * ref
+            elif op == "/":
+                d = rng.choice((rng.randint(1, 6), -rng.randint(1, 6), rational() or Fraction(-2, 3)))
+                z, ref = z / d, ref / d
+            elif op == "**":
+                k = rng.randint(0, 3)
+                z, ref = z**k, ref**k
+            elif op == "neg":
+                z, ref = -z, -ref
+            else:
+                z, ref = z.conjugate(), ref.conjugate()
+            _assert_same(z, ref)
+            # equality against another operand and against z's own real part
+            assert (z == x) == (ref == xr)
+            assert (z == z.real) == (ref == ref.real)
+            assert (z != x) == (ref != xr)
+
+
+def _fraction_quadrant(x, y):
+    if abs(x) == abs(y):
+        return Branch.NULL_CONE
+    if abs(x) > abs(y):
+        return Branch.POS_REAL if x > 0 else Branch.NEG_REAL
+    return Branch.POS_IMAG if y > 0 else Branch.NEG_IMAG
+
+
+def test_geometry_on_numerators_matches_fraction_formulas():
+    # the helpers read integer numerators; the Fraction formulas they replaced
+    # (on real and imag) are the oracle, here on non-integer inputs
+    def norm(v):
+        return v.real * v.real - v.imag * v.imag
+
+    rng = random.Random(12)
+
+    def z():
+        return SplitComplex(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                            Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+
+    verdicts = set()
+    for _ in range(2000):
+        x, y = z(), z()
+        assert para_square(x) == norm(x)
+        assert quadrant_of(x) is _fraction_quadrant(x.real, x.imag)
+        s = x + y
+        qs = {_fraction_quadrant(v.real, v.imag) for v in (x, y, s)}
+        if Branch.NULL_CONE in qs or len(qs) != 1:
+            with pytest.raises(PreconditionViolated):
+                check_reversed_triangle(x, y)
+        else:
+            a, b, c = abs(norm(s)), abs(norm(x)), abs(norm(y))
+            want = a - b - c >= 0 and (a - b - c) ** 2 >= 4 * b * c
+            assert check_reversed_triangle(x, y) == want
+            verdicts.add(want)
+        if norm(x) * norm(y) < 0:
+            with pytest.raises(PreconditionViolated):
+                para_cauchy_schwarz_holds(x, y)
+        else:
+            want = abs(norm(x.conjugate() * y)) >= abs(norm(x)) * abs(norm(y))
+            assert para_cauchy_schwarz_holds(x, y) == want
+    assert verdicts == {True}
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_real_pair_equals_and_hashes_as_its_fraction(cls):
+    # a real-valued J-scalar compares and hashes as the Fraction it equals,
+    # so a whole scalar can stand where a Fraction is expected
+    U = type(J_UNIT[cls])
+    for x in (Fraction(0), Fraction(3), Fraction(-5, 4), Fraction(7, 9)):
+        z = U(x, 0)
+        assert z == x and x == z
+        assert hash(z) == hash(x)
+        assert U(x, 1) != x
+        # also when the value becomes real through arithmetic
+        w = (U(x, 1) + U(0, -1)) * 1
+        assert w == x and hash(w) == hash(x)
+    assert {U(Fraction(1, 2), 0): "a"}[Fraction(1, 2)] == "a"
 
 
 def test_mixed_arithmetic_with_fractions():
