@@ -8,15 +8,18 @@ two compatible ones via
     alpha12 = alpha1 sigma2 + sigma1 alpha2
     sigma12 = sigma1 sigma2 + (J^2 hbar^2 / 4) alpha1 alpha2.
 
-A composite element is integer numerators over one shared denominator
-(the representation of FLINT's fmpq_poly): the canonical pair
-(den, {(left key, right key): numerator}) with den > 0 coprime to the
-numerators and zero entries dropped, keys nested as the composition is.
-Sums, scalings, products and pure tensors stay on integers, so equal
-values are equal pairs; only ``decompose`` builds Fractions, one per
-coefficient.  A value that is not rational (a float carrier's complex
-entry) is its own numerator over 1 and leaves den 1.  Products expand
-factor basis pairs through the factor carrier's memo table.
+A carrier's ``pair`` gives an element's coefficients as integer numerators
+over one shared denominator, (den, {key: numerator}), and ``decompose``
+gives them as values.  A composite element is that pair itself, in the
+form a phase-space polynomial stores (FLINT's fmpq_poly): den > 0 coprime
+to the numerators and zero entries dropped, keys (left key, right key)
+nested as the composition is, brought there by the one canonicalizer
+``phasepoly._lowest``.  Sums, scalings, products and pure tensors stay on
+integers, so equal values are equal pairs; only ``decompose`` builds
+Fractions, one per coefficient.  A value that is not rational (a float
+carrier's complex entry) is its own numerator over 1 and leaves den 1.
+Products expand factor basis pairs through the factor carrier's memo
+table, filled from the factor's pairs.
 
 The forbidden a alpha1 alpha2 term makes the composite skew product
 alpha_0 + a A, so a Leibniz-alpha defect is an exact polynomial
@@ -30,12 +33,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import lcm
 from typing import Any, Callable, Optional
 
 from . import phasepoly as pp
 from .errors import ClassMismatch, HBarMismatch, UnexpectedPass
-from .phasepoly import PhasePoly, _over_lcm, _ratio, _split
+from .phasepoly import PhasePoly, _lowest, _ratio, _split
 
 # identity name -> number of sampled arguments; check_all_identities seeds
 # identity k with seed + k, so this order fixes every report
@@ -66,12 +69,13 @@ class Carrier:
     sigma: Callable[[Any, Any], Any]
     alpha: Callable[[Any, Any], Any]
     decompose: Callable[[Any], dict]
+    pair: Callable[[Any], tuple]  # decompose(x) as (den, {key: numerator})
     basis: Callable[[Any], Any]  # inverse of decompose on one key
     residual: Callable[[Any], float]  # largest |coefficient| of decompose(x), 0.0 if none
     sample: Callable[[random.Random], Any]
     tol: float = 0.0
     jscale: Optional[Callable[[Any, Fraction], Any]] = None
-    # (product, k1, k2) -> decompose(product(basis(k1), basis(k2))) over its lcm,
+    # (product, k1, k2) -> pair(product(basis(k1), basis(k2))),
     # filled by the composites built on this carrier and shared by all of them
     expansions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -86,6 +90,15 @@ def _magnitude(v) -> float:
     if isinstance(v, complex):
         return abs(v)
     return max(abs(float(v.real)), abs(float(v.imag)))
+
+
+def _residual(den: int, nums: dict) -> float:
+    """Largest |coefficient| of the pair (den, nums), 0.0 if none.
+
+    An int numerator's size is divided by den in one int true division,
+    which is correctly rounded as float(Fraction) is.
+    """
+    return max((abs(n) if isinstance(n, int) else _magnitude(n) for n in nums.values()), default=0) / den
 
 
 @dataclass
@@ -193,22 +206,22 @@ def check_all_identities(carrier, count=200, seed=0):
 # Phase-space polynomial carriers
 # ---------------------------------------------------------------------------
 
-def sample_rational(rng: random.Random) -> Fraction:
-    """Uniform rational in [-5, 5] with denominator <= 4."""
-    den = rng.randint(1, 4)
-    return Fraction(rng.randint(-5 * den, 5 * den), den)
-
-
 def sample_poly(rng: random.Random, dof: int = 1, max_degree: int = 4) -> PhasePoly:
-    """Up to four terms, each a random monomial of degree <= max_degree."""
+    """Up to four terms, each a random monomial of degree <= max_degree.
+
+    Each coefficient is uniform in [-5, 5] with denominator d <= 4, drawn
+    as d and then its numerator, and kept as those integers.
+    """
     terms = {}
     for _ in range(rng.randint(1, 4)):
         exps = [0] * (2 * dof)
         budget = rng.randint(0, max_degree)
         for _ in range(budget):
             exps[rng.randrange(2 * dof)] += 1
-        terms[tuple(exps)] = sample_rational(rng)
-    return PhasePoly(dof, terms)
+        d = rng.randint(1, 4)
+        terms[tuple(exps)] = (rng.randint(-5 * d, 5 * d), d)
+    den = lcm(*(d for _, d in terms.values()))
+    return PhasePoly._canonical(dof, den, {e: n * (den // d) for e, (n, d) in terms.items()})
 
 
 def phase_poly_carrier(
@@ -229,9 +242,10 @@ def phase_poly_carrier(
         scale=lambda x, s: x.scale(s),
         sigma=lambda x, y: pp.sigma(x, y, cls, hbar),
         alpha=lambda x, y: pp.alpha(x, y, cls, hbar),
-        decompose=lambda x: dict(x.terms),
-        basis=lambda k: PhasePoly(dof, {k: Fraction(1)}),
-        residual=lambda x: max(map(_magnitude, x.terms.values()), default=0.0),
+        decompose=lambda x: x.terms,
+        pair=lambda x: (x.den, x.nums),
+        basis=lambda k: PhasePoly(dof, {k: 1}),
+        residual=lambda x: _residual(x.den, x.nums),
         sample=lambda rng: sample_poly(rng, dof, max_degree),
         tol=0.0,
         jscale=lambda x, r: x.scale(j_unit * Fraction(r)),
@@ -242,37 +256,22 @@ def phase_poly_carrier(
 # Bipartite tensor composition
 # ---------------------------------------------------------------------------
 
-def _lowest(den: int, nums: dict) -> tuple:
-    """(den, nums) as a canonical composite element: zeros dropped, den coprime to the numerators.
-
-    A value that is not rational has no integer factor to share with den,
-    so it is divided through and the element is left over 1.
-    """
-    nums = {k: n for k, n in nums.items() if n}
-    if not set(map(type, nums.values())) <= {int}:
-        return 1, {k: n / den for k, n in nums.items()}
-    g = gcd(den, *nums.values())
-    if g == 1:
-        return den, nums
-    return den // g, {k: n // g for k, n in nums.items()}
-
-
 def tensor(a: Carrier, b: Carrier, left, right) -> tuple:
     """The pure tensor left (x) right as a compose_bipartite(a, b) element."""
-    dl, nl = _over_lcm(a.decompose(left))
-    dr, nr = _over_lcm(b.decompose(right))
+    dl, nl = a.pair(left)
+    dr, nr = b.pair(right)
     return _lowest(dl * dr, {(kl, kr): cl * cr for kl, cl in nl.items() for kr, cr in nr.items()})
 
 
 def _expander(c: Carrier) -> Callable:
-    """decompose(prod(basis(k1), basis(k2))) over its lcm, memoized in c.expansions."""
+    """pair(prod(basis(k1), basis(k2))), memoized in c.expansions."""
     table = c.expansions
 
     def expand(prod, k1, k2):
         key = (prod, k1, k2)
         e = table.get(key)
         if e is None:
-            e = table[key] = _over_lcm(c.decompose(prod(c.basis(k1), c.basis(k2))))
+            e = table[key] = c.pair(prod(c.basis(k1), c.basis(k2)))
         return e
 
     return expand
@@ -378,9 +377,9 @@ def compose_bipartite(a: Carrier, b: Carrier, extra_a: Fraction = Fraction(0)) -
             [(a.alpha, b.sigma, 1), (a.sigma, b.alpha, 1), (a.alpha, b.alpha, extra_a)], left, right
         ),
         decompose=lambda x: {k: _ratio(n, x[0]) for k, n in x[1].items()},
+        pair=lambda x: x,
         basis=lambda k: (1, {k: 1}),
-        # int true division is correctly rounded, as float(Fraction) is
-        residual=lambda x: max(map(abs, x[1].values()), default=0) / x[0],
+        residual=lambda x: _residual(*x),
         sample=t_sample,
         tol=max(a.tol, b.tol),
     )

@@ -198,6 +198,10 @@ def matrix_carrier(dim: int, hbar: Fraction = Fraction(2), tol: float = 1e-12) -
     hf = float(hbar)
     keys = [(i, j) for i in range(dim) for j in range(dim)]
     eye = np.eye(dim, dtype=complex)
+
+    def decompose(x):
+        return {k: v for k, v in zip(keys, x.ravel().tolist()) if v}
+
     return Carrier(
         name=f"hilbert-{dim}x{dim}-hbar{hbar}",
         jsquared=-1,
@@ -207,7 +211,8 @@ def matrix_carrier(dim: int, hbar: Fraction = Fraction(2), tol: float = 1e-12) -
         scale=lambda x, s: float(s) * x,
         sigma=op_sigma,
         alpha=lambda x, y: op_alpha(x, y, hf),
-        decompose=lambda x: {k: v for k, v in zip(keys, x.ravel().tolist()) if v},
+        decompose=decompose,
+        pair=lambda x: (1, decompose(x)),
         basis=lambda k: np.outer(eye[k[0]], eye[k[1]]),
         residual=lambda x: max(map(abs, x.ravel().tolist()), default=0.0),
         sample=lambda rng: sample_hermitian(rng, dim),

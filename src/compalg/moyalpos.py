@@ -3,9 +3,9 @@
 States are Gaussian-weighted polynomials, integrated exactly via Gaussian
 moments with pi carried as a formal power.  Star products keep one
 polynomial factor so every series terminates; they sum the levels of the
-same ``phasepoly.contractions`` walk as the polynomial products, with the
-Gaussian-weighted factor on the left (on Fraction coefficients: the
-Gaussian's derivatives are not integer polynomials).  The functional
+``phasepoly.contractions`` walk, with the Gaussian-weighted factor on the
+left (the polynomial products' integer tables need a monomial there, and
+the Gaussian's derivatives are not finite sums of monomials).  The functional
 <g* star g> is then an exact rational (or split-complex) number, which
 makes the elliptic/hyperbolic positivity split decidable, not numeric.
 It is sesquilinear in the coefficients of g, so the lattice sweeps read it

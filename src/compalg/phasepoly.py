@@ -1,36 +1,42 @@
 """Exact polynomial algebra on flat phase space R^2n.
 
-Coordinates are ordered q^1..q^n, p_1..p_n.  Coefficients live in any of
-the exact scalar rings from :mod:`compalg.scalars` (or plain Fractions);
-every bracket and star-product series terminates on polynomials, so all
-identities here are decidable by structural equality.  Every coefficient
-answers ``real``, ``imag`` and ``conjugate()`` (Python's number protocol),
-which is all that readers outside the kernel use of it.
+Coordinates are ordered q^1..q^n, p_1..p_n.  A polynomial is integer
+numerators over one shared denominator (the representation of FLINT's
+fmpq_poly): the canonical pair (den, {exponents: numerator}) with den > 0
+coprime to the numerators and zero terms dropped, so equal values are
+equal pairs.  A J-valued coefficient (a scalar from
+:mod:`compalg.scalars`) has an integer J-scalar as its numerator, and one
+rule fixes every coefficient's ring whatever the order of summation: a
+coefficient is rational exactly when its J part is 0.  Sums, scalings,
+products and derivatives stay on the numerators with one gcd per result,
+in ``_lowest``, the canonicalizer that composite elements in
+:mod:`compalg.algebra` share; ``terms`` builds the Fractions and
+J-scalars on demand for the readers at the boundary, and each of them
+answers ``real``, ``imag`` and ``conjugate()``.
 
-One bidifferential engine serves every product: ``contractions`` walks the
-levels k = 0, 1, 2, ... of f (<->nabla)^k g as merged signed derivative
-pairs, each level built once from the one before, and ``series`` sums
-sum_k w_k f (<->nabla)^k g for given weights.  The three classes differ
-only in J^2 (-1, 0, +1) inside the one series sum_k (J hbar/2)^k/k! nabla^k,
-whose even half is ``sigma`` and whose odd half (J factored out) is ``alpha``.
-
-``series`` runs on integer numerators over one shared denominator (the
-representation of FLINT's fmpq_poly): ``_over_lcm`` splits f, g and the
-weights once, the walk and the products stay on ints, and each output
-coefficient is one Fraction.  A value that is not rational (a J-valued
-coefficient or weight) is its own numerator over 1 on the same loop.
-``_split``/``_over_lcm``/``_ratio`` are shared with :mod:`compalg.algebra`.
+The bidifferential f (<->nabla)^k g of two monomials is an integer times a
+monomial that depends on neither the class nor hbar (Groenewold, Physica
+12, 1946).  Per degree of freedom it is the cached table ``_table``, the
+tables of the degrees of freedom combine with the multinomial
+k!/prod k_i!, and ``series`` multiplies numerators through them to sum
+sum_k w_k f (<->nabla)^k g for given weights, with no derivative taken
+and no Fraction built.  The three classes differ only in J^2 (-1, 0, +1)
+inside the one series sum_k (J hbar/2)^k/k! nabla^k, whose even half is
+``sigma`` and whose odd half (J factored out) is ``alpha``.
+``contractions`` walks the same levels as merged signed derivative pairs;
+it serves the Gaussian-weighted star product of :mod:`compalg.moyalpos`
+and the tests' oracles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm, perm
 from operator import add
 
 from .errors import DofMismatch
-from .scalars import EPS_DUAL, I_COMPLEX, J_SPLIT
+from .scalars import EPS_DUAL, I_COMPLEX, J_SPLIT, _make, _Pair
 
 ELLIPTIC = "elliptic"
 PARABOLIC = "parabolic"
@@ -44,52 +50,69 @@ DEFAULT_HBAR = Fraction(2)
 
 
 class PhasePoly:
-    """Multivariate polynomial in (q^1..q^n, p_1..p_n), exact coefficients."""
+    """Multivariate polynomial in (q^1..q^n, p_1..p_n), exact coefficients.
 
-    __slots__ = ("dof", "terms")
+    The coefficient of x^e is nums[e] / den, a canonical pair (see the
+    module docstring); ``terms`` is the coefficient view.
+    """
+
+    __slots__ = ("dof", "den", "nums")
 
     def __init__(self, dof: int, terms=None):
         if dof < 0:
             raise ValueError("dof must be non-negative")
-        clean = {}
+        coeffs = {}
         for exps, c in (terms or {}).items():
             if len(exps) != 2 * dof:
                 raise ValueError("exponent vector length must be 2*dof")
-            if c == 0:
-                continue
-            clean[tuple(exps)] = c
+            coeffs[tuple(exps)] = c
         object.__setattr__(self, "dof", dof)
-        object.__setattr__(self, "terms", clean)
+        den, nums = _lowest(*_over_lcm(coeffs))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
 
     @classmethod
-    def _trusted(cls, dof: int, terms: dict) -> "PhasePoly":
-        """A polynomial on terms the package built: keys are exponent tuples of
-        length 2*dof and no value is zero, so the checks of __init__ are skipped."""
+    def _canonical(cls, dof: int, den: int, nums: dict) -> "PhasePoly":
+        """nums / den as a polynomial, brought to the canonical pair by ``_lowest``.
+
+        The keys are exponent tuples of length 2*dof that the package built,
+        so the checks of __init__ are skipped.
+        """
         poly = object.__new__(cls)
+        den, nums = _lowest(den, nums)
         object.__setattr__(poly, "dof", dof)
-        object.__setattr__(poly, "terms", terms)
+        object.__setattr__(poly, "den", den)
+        object.__setattr__(poly, "nums", nums)
         return poly
 
     def __setattr__(self, *a):
         raise AttributeError("immutable polynomial")
 
+    @property
+    def terms(self) -> dict:
+        """{exponents: coefficient}: a Fraction, or a J-scalar where the J part
+        is not 0.  Built from the pair on every read, so changing it leaves
+        the polynomial alone."""
+        den = self.den
+        return {e: _ratio(n, den) for e, n in self.nums.items()}
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def const(cls, c, dof: int) -> "PhasePoly":
-        return cls(dof, {(0,) * (2 * dof): Fraction(c) if isinstance(c, int) else c})
+        return cls(dof, {(0,) * (2 * dof): c})
 
     @classmethod
     def q(cls, i: int = 1, dof: int = 1) -> "PhasePoly":
         e = [0] * (2 * dof)
         e[i - 1] = 1
-        return cls(dof, {tuple(e): Fraction(1)})
+        return cls(dof, {tuple(e): 1})
 
     @classmethod
     def p(cls, i: int = 1, dof: int = 1) -> "PhasePoly":
         e = [0] * (2 * dof)
         e[dof + i - 1] = 1
-        return cls(dof, {tuple(e): Fraction(1)})
+        return cls(dof, {tuple(e): 1})
 
     # -- ring operations ----------------------------------------------------
 
@@ -102,77 +125,76 @@ class PhasePoly:
             return NotImplemented
         self._check(other)
         # immutable, so an empty side can hand back the other operand
-        if not other.terms:
+        if not other.nums:
             return self
-        if not self.terms:
+        if not self.nums:
             return other
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            t[e] = t.get(e, 0) + c
-        return PhasePoly(self.dof, t)
+        den = lcm(self.den, other.den)
+        m1, m2 = den // self.den, den // other.den
+        t = {e: n * m1 for e, n in self.nums.items()}
+        for e, n in other.nums.items():
+            t[e] = t.get(e, 0) + n * m2
+        return PhasePoly._canonical(self.dof, den, t)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return PhasePoly(self.dof, {e: -c for e, c in self.terms.items()})
+        return PhasePoly._canonical(self.dof, self.den, {e: -n for e, n in self.nums.items()})
 
     def __mul__(self, other):
         if not isinstance(other, PhasePoly):
             return self.scale(other)
         self._check(other)
         t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, n1 in self.nums.items():
+            for e2, n2 in other.nums.items():
                 e = tuple(map(add, e1, e2))
-                t[e] = t.get(e, 0) + c1 * c2
-        return PhasePoly(self.dof, t)
+                t[e] = t.get(e, 0) + n1 * n2
+        return PhasePoly._canonical(self.dof, self.den * other.den, t)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, s) -> "PhasePoly":
-        if isinstance(s, int):
-            s = Fraction(s)
-        if isinstance(s, Fraction) and s == 1:
-            # rational 1 keeps every coefficient's value and ring
+        ns, ds = _split(s)
+        if ns == 1 and ds == 1:
             return self
-        return PhasePoly(self.dof, {e: s * c for e, c in self.terms.items()})
+        return PhasePoly._canonical(self.dof, self.den * ds, {e: n * ns for e, n in self.nums.items()})
 
     def __eq__(self, other):
         if not isinstance(other, PhasePoly):
             return NotImplemented
-        return self.dof == other.dof and self.terms == other.terms
+        # canonical pairs on both sides: equal values are equal pairs
+        return self.dof == other.dof and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.dof, frozenset(self.terms.items())))
+        return hash((self.dof, self.den, frozenset(self.nums.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     # -- calculus -----------------------------------------------------------
 
     def deriv(self, axis: int) -> "PhasePoly":
         """Partial derivative along coordinate axis (0..2n-1, q's first).
 
-        Distinct terms stay distinct and k * c is nonzero for k >= 1, so the
-        result needs no merging and no zero test.
+        Distinct terms stay distinct and k * n is nonzero for k >= 1, so the
+        numerators need no merging; the factors k may share one with den.
         """
         t = {}
-        for e, c in self.terms.items():
+        for e, n in self.nums.items():
             k = e[axis]
             if k == 0:
                 continue
             ne = list(e)
             ne[axis] = k - 1
-            t[tuple(ne)] = k * c
-        return PhasePoly._trusted(self.dof, t)
+            t[tuple(ne)] = k * n
+        return PhasePoly._canonical(self.dof, self.den, t)
 
     @property
     def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.nums), default=0)
 
     def eval_float(self, coords) -> complex:
         """Numeric evaluation at real coordinates (floats)."""
@@ -186,14 +208,15 @@ class PhasePoly:
 
     def canonical_str(self) -> str:
         """Terms sorted lexicographically by exponent vector."""
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         names = [f"q{i+1}" for i in range(self.dof)] + [
             f"p{i+1}" for i in range(self.dof)
         ]
         parts = []
-        for e in sorted(self.terms):
-            factors = [str(self.terms[e])]
+        for e in sorted(terms):
+            factors = [str(terms[e])]
             for name, k in zip(names, e):
                 if k:
                     factors.append(f"{name}^{k}")
@@ -237,9 +260,20 @@ def contractions(f, g: PhasePoly):
 
 
 def _split(v) -> tuple:
-    """v as (numerator, denominator): a rational's integers, any other value over 1."""
+    """v as (numerator, denominator), the denominator a positive int.
+
+    A rational gives its integers.  A J-scalar (re + J im) / den gives den
+    and the integer J-scalar re + J im, or the int re when im is 0 (the ring
+    rule).  Any other value (a float carrier's entry) is its own numerator
+    over 1.
+    """
     if isinstance(v, (int, Fraction)):
         return v.numerator, v.denominator
+    if isinstance(v, _Pair):
+        # the J-scalar's own canonical integer triple
+        if not v._im:
+            return v._re, v._den
+        return (v if v._den == 1 else _make(type(v), 1, v._re, v._im)), v._den
     return v, 1
 
 
@@ -250,43 +284,109 @@ def _over_lcm(d: dict) -> tuple:
     return den, {k: n * (den // dv) for k, (n, dv) in split.items()}
 
 
+def _lowest(den: int, nums: dict) -> tuple:
+    """(den, nums) as a canonical pair: zeros dropped, den > 0 coprime to the numerators.
+
+    Numerators are ints or integer J-scalars (den 1).  A J-valued one
+    shares a factor through both of its parts, and one whose J part is 0
+    becomes its int: the ring rule, by which a coefficient is rational
+    exactly when its J part is 0, whatever order its terms were summed in.
+    A value that is not exact (a float carrier's entry) has no integer
+    factor to share with den, so it is divided through and the pair is left
+    over 1.  nums is taken over: the result may be nums itself.
+    """
+    if 0 in nums.values():
+        nums = {k: n for k, n in nums.items() if n}
+    if set(map(type, nums.values())) <= {int}:
+        g = gcd(den, *nums.values())
+    else:
+        g = den
+        for k, n in nums.items():
+            if isinstance(n, _Pair):
+                if n._im:
+                    g = gcd(g, n._re, n._im)
+                    continue
+                nums[k] = n = n._re
+            elif not isinstance(n, int):
+                return 1, {k: n / den for k, n in nums.items()}
+            g = gcd(g, n)
+    if g == 1:
+        return den, nums
+    return den // g, {k: n // g if isinstance(n, int) else n / g for k, n in nums.items()}
+
+
 def _ratio(n, d):
     """n / d, exact (one Fraction) for an integer numerator."""
     return Fraction(n, d) if isinstance(n, int) else n / d
 
 
-def series(f: PhasePoly, g: PhasePoly, weights) -> PhasePoly:
-    """sum_k weights[k] f (<->nabla)^k g over the levels of ``contractions``.
+@cache
+def _table(aq: int, ap: int, bq: int, bp: int) -> tuple:
+    """The levels of q^aq p^ap (<->nabla)^k q^bq p^bp on one degree of freedom.
 
-    f, g and the weights are each split once by ``_over_lcm``, so the walk
-    differentiates and multiplies integer numerators.  Those of w c (a * b)
-    accumulate in one dict, and each output coefficient is one division by
-    the product of the three denominators.  Level k is built only when
-    ``weights`` has an entry k.
+    There nabla = d_q (x) d_p - d_p (x) d_q, whose two terms commute, so
+    level k is T[k] q^(aq+bq-k) p^(ap+bp-k) with
+
+        T[k] = sum_j C(k, j) (-1)^(k-j) (aq)_j (ap)_(k-j) (bp)_j (bq)_(k-j),
+
+    (x)_j the falling factorial: j of the k contractions take d_q on the
+    left and d_p on the right, the other k - j the reverse.  An integer
+    that depends on neither the class nor hbar.  Returns
+    (k, T[k], (aq+bq-k,), (ap+bp-k,)) for each k with T[k] != 0, the
+    exponents as 1-tuples ready to concatenate; T[k] = 0 once
+    k > min(aq, bp) + min(ap, bq).
+    """
+    out = []
+    for k in range(min(aq, bp) + min(ap, bq) + 1):
+        t = sum(
+            comb(k, j) * (-1) ** (k - j) * perm(aq, j) * perm(ap, k - j) * perm(bp, j) * perm(bq, k - j)
+            for j in range(k + 1)
+        )
+        if t:
+            out.append((k, t, (aq + bq - k,), (ap + bp - k,)))
+    return tuple(out)
+
+
+def _contract(f: PhasePoly, g: PhasePoly, dw: int, nw: dict) -> PhasePoly:
+    """sum_k (nw[k] / dw) f (<->nabla)^k g, for nw = {0: n_0, 1: n_1, ...}.
+
+    nabla is the sum of the degrees of freedom's commuting contractions,
+    so a monomial pair's level k is the sum over k_1 + ... + k_n = k of
+    k!/prod k_i! prod_i T_i[k_i], each T_i read from ``_table``; the
+    multinomial is built up as prod_i C(k_1 + ... + k_i, k_i).  Levels at
+    or above len(nw) add nothing and are pruned as the degrees of freedom
+    combine.  The numerators of f, g and the weights
+    multiply into one dict, and the result is one ``_lowest`` over
+    dw * f.den * g.den.
     """
     if f.dof != g.dof:
         raise DofMismatch(f"dof {f.dof} vs {g.dof}")
-    n = g.dof
-    dw, nw = _over_lcm(dict(enumerate(weights)))
-    df, nf = _over_lcm(f.terms)
-    dg, ng = _over_lcm(g.terms)
+    n, top = g.dof, len(nw)
     acc = {}
-    walk = contractions(PhasePoly._trusted(n, nf), PhasePoly._trusted(n, ng))
-    for w, level in zip(nw.values(), walk):
-        if not w:
-            continue
-        for a, b, c, _, _ in level:
-            wc = w * c
-            for e, v in (a * b).terms.items():
-                # zero terms and sums are dropped as PhasePoly drops them, so a
-                # coefficient's ring is that of its terms since it last cancelled
-                if v := v * wc:
-                    if v := acc.get(e, 0) + v:
-                        acc[e] = v
-                    else:
-                        del acc[e]
-    den = dw * df * dg
-    return PhasePoly._trusted(n, {e: _ratio(v, den) for e, v in acc.items()})
+    right = list(g.nums.items())
+    for e1, c1 in f.nums.items():
+        for e2, c2 in right:
+            # (k, integer, q exponents, p exponents) over the first i + 1 dofs
+            levels = _table(e1[0], e1[n], e2[0], e2[n]) if n else ((0, 1, (), ()),)
+            for i in range(1, n):
+                table = _table(e1[i], e1[n + i], e2[i], e2[n + i])
+                levels = [
+                    (k + ki, t * comb(k + ki, ki) * ti, qs + q, ps + p)
+                    for k, t, qs, ps in levels
+                    for ki, ti, q, p in table
+                    if k + ki < top
+                ]
+            c12 = c1 * c2
+            for k, t, qs, ps in levels:
+                if w := nw.get(k):
+                    e = qs + ps
+                    acc[e] = acc.get(e, 0) + w * t * c12
+    return PhasePoly._canonical(n, dw * f.den * g.den, acc)
+
+
+def series(f: PhasePoly, g: PhasePoly, weights) -> PhasePoly:
+    """sum_k weights[k] f (<->nabla)^k g; the weights are split once by ``_over_lcm``."""
+    return _contract(f, g, *_over_lcm(dict(enumerate(weights))))
 
 
 def nabla_power(f: PhasePoly, g: PhasePoly, k: int) -> PhasePoly:
@@ -308,7 +408,8 @@ def _weights(cls: str, hbar: Fraction, parity: int, top: int) -> tuple:
     J^parity is factored out, so the k-th weight is
     s^(k//2) (hbar/2)^(k - parity) / k! with s = J^2.  Once it is zero
     (k >= 2 when J^2 = 0, or hbar = 0) it stays zero, which ends them.
-    Cached, so a product with known weights does no Fraction arithmetic.
+    Returned split once, as (den, {k: numerator}), and cached, so a product
+    with known weights does no Fraction arithmetic.
     """
     s, h2 = J_SQUARED[cls], Fraction(hbar) / 2
     weights = []
@@ -317,7 +418,7 @@ def _weights(cls: str, hbar: Fraction, parity: int, top: int) -> tuple:
         if not c:
             break
         weights += [0] * (k - len(weights)) + [c]
-    return tuple(weights)
+    return _over_lcm(dict(enumerate(weights)))
 
 
 def _series(f: PhasePoly, g: PhasePoly, cls: str, hbar: Fraction, parity: int) -> PhasePoly:
@@ -326,7 +427,7 @@ def _series(f: PhasePoly, g: PhasePoly, cls: str, hbar: Fraction, parity: int) -
     nabla^k vanishes once k exceeds either factor's degree, so the weights
     stop there.
     """
-    return series(f, g, _weights(cls, hbar, parity, min(f.degree, g.degree)))
+    return _contract(f, g, *_weights(cls, hbar, parity, min(f.degree, g.degree)))
 
 
 def alpha(f: PhasePoly, g: PhasePoly, cls: str, hbar: Fraction = DEFAULT_HBAR) -> PhasePoly:

@@ -160,11 +160,13 @@ class GammaRep:
     """A labelled candidate set of gamma matrices.
 
     ``checked`` memoizes the verdict of ``clifford_check`` on ``gammas``, so
-    each rep is validated once however many currents it computes.
+    each rep is validated once however many currents it computes.  Reps
+    compare and hash by ``label``: the numpy ``gammas`` have no truth value
+    and no hash.
     """
 
     label: str
-    gammas: tuple
+    gammas: tuple = field(compare=False)
     checked: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 

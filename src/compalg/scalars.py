@@ -12,7 +12,9 @@ The three J-scalar classes speak Python's number protocol (PEP 3141): like
 way and no caller dispatches on its type.  Inside, a J-scalar is one
 canonical integer triple (den, re, im) for (re + J im) / den, with den > 0
 and gcd(den, re, im) = 1: arithmetic stays on the integers, with one gcd
-per result, and the para-geometry reads the numerators directly.
+per result, and the para-geometry reads the numerators directly, as the
+polynomial kernel does when it takes a J-valued coefficient apart into an
+integer J-scalar numerator and a denominator (``phasepoly._split``).
 """
 
 from __future__ import annotations

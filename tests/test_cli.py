@@ -267,6 +267,21 @@ def test_falsify_suite_counts_the_sweeps_that_ran(monkeypatch):
     assert suite["witness"] == [{"a": "1", "counterexamples": 1}, {"a": "1/2", "counterexamples": 1}]
 
 
+def test_falsify_suite_reports_the_a0_residual(monkeypatch):
+    """The report's max_residual is the a = 0 sweep's: 0 while the composite
+    law holds, above 0 once it is broken."""
+    from compalg import algebra
+
+    cfg = fast_cfg(suites=["falsify-nonzero-a"])
+    (suite,) = run(cfg)["suites"]
+    assert suite["verdict"] == "pass" and suite["max_residual"] == 0.0
+    law = algebra.compose_bipartite
+    # a composite skew product that carries 1/3 alpha1 alpha2 even at a = 0
+    monkeypatch.setattr(algebra, "compose_bipartite", lambda a, b: law(a, b, extra_a=Fraction(1, 3)))
+    (suite,) = run(cfg)["suites"]
+    assert suite["verdict"] == "fail" and suite["max_residual"] > 0.0
+
+
 # sha256 of the default `compalg verify` JSON report at seed 0; a change that
 # moves a byte of it updates this pin and says why in CHANGES.md
 DEFAULT_REPORT_SHA256 = "de67718fb70b6e180761a1f00c5493f8a5d7d1cf1a55922dcabbce5a85eae14a"

@@ -1,13 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 import pytest
 import sympy as sp
 
 from compalg import phasepoly
-from compalg.algebra import sample_poly, sample_rational
+from compalg.algebra import sample_poly
 from compalg.cli import SuiteConfig, run
 from compalg.errors import DofMismatch
 from compalg.phasepoly import (
@@ -28,7 +28,13 @@ from compalg.phasepoly import (
     sigma,
     star,
 )
-from compalg.scalars import I_COMPLEX, J_SPLIT
+from compalg.scalars import I_COMPLEX, J_SPLIT, SplitComplex
+
+
+def sample_rational(rng: random.Random) -> Fraction:
+    """Uniform rational in [-5, 5] with denominator <= 4, drawn as sample_poly draws one."""
+    den = rng.randint(1, 4)
+    return Fraction(rng.randint(-5 * den, 5 * den), den)
 
 
 def to_sympy(f: PhasePoly, syms):
@@ -114,12 +120,15 @@ def test_nabla_power_takes_each_derivative_once(monkeypatch):
         return deriv(self, axis)
 
     monkeypatch.setattr(PhasePoly, "deriv", counted)
+    # the product path reads integer tables and takes no derivative
     nabla_power(x4, x4, 4)
+    assert calls == []
+    # levels 0..4 of the walk, without building level 5
+    levels = [level for _, level in zip(range(5), contractions(x4, x4))]
     # one left and one right derivative per multi-index of size 1..4 in four
     # variables: 2 * (4 + 10 + 20 + 35); one pair per ordering takes 680
     assert len(calls) == 138
     # one pair per multi-index, whose |c| = k!/m! sums to all 4^k orderings
-    levels = list(contractions(x4, x4))
     assert [len(level) for level in levels] == [1, 4, 10, 20, 35]
     assert [sum(abs(c) for _, _, c, _, _ in level) for level in levels] == [4**k for k in range(5)]
 
@@ -145,9 +154,14 @@ def _class_weights(cls, hbar, parity, top):
     ]
 
 
+def _ring(c):
+    """The ring of a coefficient: rational exactly when its J part is 0."""
+    return Fraction if c.imag == 0 else type(c)
+
+
 def _assert_same(got, want):
     assert got == want
-    assert {e: type(c) for e, c in got.terms.items()} == {e: type(c) for e, c in want.terms.items()}
+    assert {e: type(c) for e, c in got.terms.items()} == {e: _ring(c) for e, c in want.terms.items()}
 
 
 HBARS = (Fraction(1, 2), Fraction(2), Fraction(3))
@@ -173,10 +187,10 @@ def test_series_matches_fraction_reference(cls, hbar):
                 _assert_same(series(x, y, star_weights), _reference_series(x, y, star_weights))
 
 
-def test_warm_sigma_makes_one_fraction_per_coefficient(monkeypatch):
+def test_warm_sigma_builds_no_fraction(monkeypatch):
     """The product series runs on integer numerators: with the class weights
-    computed once, sigma does no Fraction arithmetic and builds one Fraction
-    per output coefficient."""
+    split once and the contraction tables cached, sigma does no Fraction
+    arithmetic and builds no Fraction, not even for its result."""
     q1, q2, p1, p2 = PhasePoly.q(1, 2), PhasePoly.q(2, 2), PhasePoly.p(1, 2), PhasePoly.p(2, 2)
     x = q1 + p1.scale(Fraction(1, 2)) + q2.scale(Fraction(1, 3)) - p2
     f = x * x * x + (q1 * p2).scale(Fraction(2, 3))
@@ -199,7 +213,7 @@ def test_warm_sigma_makes_one_fraction_per_coefficient(monkeypatch):
         counted(name)
     result = sigma(f, g, ELLIPTIC, hbar)
     monkeypatch.undo()
-    assert result and calls == {"__new__": len(result.terms)}
+    assert result and calls == {}
     assert result == _reference_series(f, g, _class_weights(ELLIPTIC, 3, 0, 3))
 
 
@@ -423,3 +437,91 @@ def test_trusted_results_pass_the_public_checks(cls):
                 assert r == PhasePoly(dof, r.terms) and r.terms == PhasePoly(dof, r.terms).terms
                 assert all(type(e) is tuple and len(e) == 2 * dof for e in r.terms)
                 assert all(c != 0 for c in r.terms.values())
+
+
+def _level_sums(f, g):
+    """sum c a b over each level of ``contractions``, up to the first empty one."""
+    out = []
+    for level in contractions(f, g):
+        total = PhasePoly(g.dof)
+        for a, b, c, _, _ in level:
+            total = total + (a * b).scale(c)
+        out.append(total)
+    return out
+
+
+def _assert_tables_match_walk(dof, pairs):
+    for m, mm in pairs:
+        f, g = PhasePoly(dof, {m: 1}), PhasePoly(dof, {mm: 1})
+        walk = _level_sums(f, g)
+        # one level past the walk's end, which the tables must leave empty too
+        assert [nabla_power(f, g, k) for k in range(len(walk) + 1)] == walk + [PhasePoly(dof)], (m, mm)
+
+
+@pytest.mark.parametrize("dof, top", [(1, 4), (2, 3)])
+def test_tables_match_contractions_on_every_monomial_pair(dof, top):
+    """The per-dof integer tables, combined by the multinomial, give every
+    level of the derivative walk, on every monomial pair up to degree top."""
+    mons = _monomials(2 * dof, top)
+    _assert_tables_match_walk(dof, product(mons, mons))
+
+
+def test_tables_match_contractions_on_seeded_dof3_pairs():
+    rng = random.Random(41)
+    mons = _monomials(6, 3)
+    _assert_tables_match_walk(3, [(rng.choice(mons), rng.choice(mons)) for _ in range(150)])
+
+
+def _assert_canonical(f):
+    """den > 0, no zero numerator, ints or den-1 J-scalars with a nonzero J
+    part, and den coprime to every integer part."""
+    parts = []
+    for n in f.nums.values():
+        assert n
+        if isinstance(n, int):
+            parts.append(n)
+        else:
+            assert n.imag != 0 and n.real.denominator == n.imag.denominator == 1, n
+            parts += [n.real.numerator, n.imag.numerator]
+    assert f.den > 0 and gcd(f.den, *parts) == 1, (f.den, f.nums)
+
+
+def test_equal_values_give_equal_pairs_and_hashes():
+    q, p = PhasePoly.q(), PhasePoly.p()
+    ways = [
+        (q * p).scale(Fraction(1, 2)),
+        q.scale(Fraction(2, 3)) * p.scale(Fraction(3, 4)),
+        (q * p).scale(Fraction(1, 6)) + (q * p).scale(Fraction(1, 3)),
+        PhasePoly(1, {(1, 1): Fraction(3, 6)}),
+        (q * q * p).deriv(0).scale(Fraction(1, 4)),
+        poisson(q * q * p, p).scale(Fraction(1, 4)),
+    ]
+    for f in ways:
+        _assert_canonical(f)
+        assert (f.den, f.nums) == (2, {(1, 1): 1}) and f == ways[0] and hash(f) == hash(ways[0])
+    assert len(set(ways)) == 1
+    # a J-valued coefficient with J part 0 is its Fraction: same pair, same hash
+    for cls in CLASSES:
+        j = J_UNIT[cls]
+        real = [
+            PhasePoly.const(j * 0 + Fraction(3, 2), 1),
+            PhasePoly.const(1, 1).scale(Fraction(3, 2) + 0 * j),
+            PhasePoly.const(j, 1) + PhasePoly.const(Fraction(3, 2) - j, 1),
+            PhasePoly.const(Fraction(3, 2), 1),
+        ]
+        for f in real:
+            _assert_canonical(f)
+            assert (f.den, f.nums) == (2, {(0, 0): 3}) and f == real[-1] and hash(f) == hash(real[-1])
+            assert type(f.terms[(0, 0)]) is Fraction
+        z = PhasePoly.const(j * Fraction(2, 3) + 1, 1)
+        _assert_canonical(z)
+        assert z.den == 3 and z.terms == {(0, 0): j * Fraction(2, 3) + 1}
+        assert not z - z
+    rng = random.Random(42)
+    for _ in range(40):
+        f, g = sample_poly(rng, 1, 4), sample_poly(rng, 1, 4)
+        for cls in CLASSES:
+            for r in (sigma(f, g, cls), alpha(f, g, cls), star(f, g, cls), f.scale(J_UNIT[cls]) * g - f):
+                _assert_canonical(r)
+                assert r == PhasePoly(1, r.terms) and hash(r) == hash(PhasePoly(1, r.terms))
+    assert PhasePoly.const(SplitComplex(3, 0), 1) == PhasePoly.const(3, 1)

@@ -125,6 +125,15 @@ def test_each_rep_is_clifford_checked_once(monkeypatch):
     assert len(calls) == 98
 
 
+def test_reps_compare_and_hash_by_label():
+    first, second = candidate_reps(), candidate_reps()
+    assert first == second and first[0] is not second[0]
+    assert all(hash(a) == hash(b) for a, b in zip(first, second))
+    reps = set(first) | set(second)
+    assert len(reps) == 96 and {r.label for r in reps} == {r.label for r in first}
+    assert first[0] != first[1]
+
+
 def test_rep_discovery_unique_winner():
     best = rep_discovery(seed=0)
     assert best.label == "weyl-perm(1, 2, 3)-signs(1, 1, 1)"

@@ -45,7 +45,7 @@ def test_package_checks_survive_python_O():
     assert found == {}
 
 
-RATIONAL_HELPERS = ("_over_lcm", "_ratio", "_split")
+RATIONAL_HELPERS = ("_lowest", "_over_lcm", "_ratio", "_split")
 
 
 def _helper_defs(text):
@@ -63,6 +63,7 @@ def test_helper_rule_catches_a_second_definition():
     assert _helper_defs("def _ratio(n, d):\n    return n / d\n") == ["_ratio"]
     assert _helper_defs("class C:\n    def _split(self, v):\n        return v\n") == ["_split"]
     assert _helper_defs("_over_lcm = lambda d: d\n") == ["_over_lcm"]
+    assert _helper_defs("def _lowest(den, nums):\n    return den, nums\n") == ["_lowest"]
     assert not _helper_defs("from .phasepoly import _over_lcm, _ratio\nx = _ratio(1, 2)\n")
 
 
