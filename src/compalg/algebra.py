@@ -343,14 +343,12 @@ def _product(law: list, left: Callable, right: Callable) -> Callable:
     return run
 
 
-def compose_bipartite(a: Carrier, b: Carrier, extra_a: Fraction = Fraction(0)) -> Carrier:
+def compose_bipartite(a: Carrier, b: Carrier) -> Carrier:
     """Carrier on canonical (den, {(left key, right key): numerator}) pairs.
 
     Both products are one bilinear law sum_i w_i (left_i (x) right_i), and
     each pair of factor basis keys is expanded once per factor carrier, in
     that carrier's ``expansions`` table.
-    `extra_a` adds the forbidden a * alpha1 alpha2 term to the skew product;
-    it exists so the a = 0 derivation can be machine-falsified.
     """
     if a.jsquared != b.jsquared:
         raise ClassMismatch(f"{a.name} vs {b.name}")
@@ -373,9 +371,7 @@ def compose_bipartite(a: Carrier, b: Carrier, extra_a: Fraction = Fraction(0)) -
         add=_add,
         scale=_scale,
         sigma=_product([(a.sigma, b.sigma, 1), (a.alpha, b.alpha, xcoef)], left, right),
-        alpha=_product(
-            [(a.alpha, b.sigma, 1), (a.sigma, b.alpha, 1), (a.alpha, b.alpha, extra_a)], left, right
-        ),
+        alpha=_product([(a.alpha, b.sigma, 1), (a.sigma, b.alpha, 1)], left, right),
         decompose=lambda x: {k: _ratio(n, x[0]) for k, n in x[1].items()},
         pair=lambda x: x,
         basis=lambda k: (1, {k: 1}),
@@ -436,8 +432,9 @@ def falsify_sweep(a: Carrier, b: Carrier, extras, count: int = 200, seed: int = 
     law term, so each sampled defect is exactly D_0 + x D_1 + x^2 D_2.  Each
     triple is drawn once (the sampler does not depend on x), the three
     coefficients are built with alpha_0 and A, and D(x) is judged for every
-    x.  The reports are those of ``check_identity`` on
-    ``compose_bipartite(a, b, extra_a=x)``; a nonzero x is expected to fail.
+    x.  The reports are those of ``check_identity`` on the composite whose
+    skew product is ``compose_bipartite(a, b)``'s plus x A; a nonzero x is
+    expected to fail.
     """
     extras = [Fraction(x) for x in extras]
     c = compose_bipartite(a, b)

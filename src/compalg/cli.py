@@ -96,6 +96,9 @@ def _validate(cfg: SuiteConfig):
                 cfg.identity_count, cfg.pair_count):
         if cap <= 0:
             raise ConfigError("all caps and counts must be positive")
+    # the berezin suite quantizes q and p, which needs N >= deg + 4
+    if cfg.berezin_n < 5:
+        raise ConfigError("berezin_n must be at least 5")
     names = set(SUITES)
     for s in cfg.suites:
         if s != "all" and s not in names:

@@ -146,22 +146,12 @@ def verify_reflexivity(
     return restores(state, u_p, u_n) <= tol
 
 
-def verify_symmetry(
-    state: PureState, v_phases, tol: float = 1e-12, sabotage: bool = False
-) -> bool:
-    """Symmetric equivalence via U_p = V_p^{-1}, V_n = U_n(V_p^{-1})^{-1}.
-
-    With sabotage=True the inverse of the counter-unitary is replaced by
-    its entrywise conjugate, which must break the equality for generic
-    phases (negative control).
-    """
+def verify_symmetry(state: PureState, v_phases, tol: float = 1e-12) -> bool:
+    """Symmetric equivalence via U_p = V_p^{-1}, V_n = U_n(V_p^{-1})^{-1}."""
     sf = schmidt(state)
-    d1 = state.dims[0]
-    v_p = system_unitary(sf, v_phases, d1)
-    u_p = v_p.conj().T  # V_p^{-1}
-    u_n = counter_unitary(sf, u_p)
-    v_n = np.conj(u_n) if sabotage else u_n.conj().T
-    return restores(state, v_p, v_n) <= tol
+    v_p = system_unitary(sf, v_phases, state.dims[0])
+    u_n = counter_unitary(sf, v_p.conj().T)  # U_n(V_p^{-1})
+    return restores(state, v_p, u_n.conj().T) <= tol
 
 
 def verify_transitivity(

@@ -2,10 +2,12 @@
 
 States are Gaussian-weighted polynomials, integrated exactly via Gaussian
 moments with pi carried as a formal power.  Star products keep one
-polynomial factor so every series terminates; they sum the levels of the
-``phasepoly.contractions`` walk, with the Gaussian-weighted factor on the
-left (the polynomial products' integer tables need a monomial there, and
-the Gaussian's derivatives are not finite sums of monomials).  The functional
+polynomial factor so every series terminates.  On the one degree of
+freedom of the Fock states, level k of the series is the closed form
+sum_j C(k, j) (-1)^(k-j) d_q^j d_p^(k-j) (x) d_p^j d_q^(k-j), applied with
+``deriv`` and the Gaussian-weighted factor on the left (the polynomial
+products' integer tables need a monomial there, and the Gaussian's
+derivatives are not finite sums of monomials).  The functional
 <g* star g> is then an exact rational (or split-complex) number, which
 makes the elliptic/hyperbolic positivity split decidable, not numeric.
 It is sesquilinear in the coefficients of g, so the lattice sweeps read it
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 import numpy as np
 
@@ -30,7 +32,6 @@ from .phasepoly import (
     HYPERBOLIC,
     J_UNIT,
     PhasePoly,
-    contractions,
     star,
 )
 from .scalars import J_SPLIT
@@ -60,9 +61,6 @@ class GaussPoly:
     @property
     def dof(self) -> int:
         return self.poly.dof
-
-    def __bool__(self):
-        return bool(self.poly)
 
     def deriv(self, axis: int) -> "GaussPoly":
         """Product rule: d(P e^env) = (dP - (2 x_axis / s) P) e^env."""
@@ -165,9 +163,10 @@ def star_gp(
 ) -> GaussPoly:
     """F star g (side="left") or g star F (side="right") as a finite sum.
 
-    The associative product sums the levels of ``phasepoly.contractions``
-    with the weights (J hbar/2)^k / k!; swapping the factors flips the sign
-    of every contraction, so g star F uses (-J hbar/2)^k.  The series
+    On one degree of freedom level k of the series is the closed form
+    sum_j C(k, j) (-1)^(k-j) (d_q^j d_p^(k-j) F) (d_p^j d_q^(k-j) g),
+    weighted by (J hbar/2)^k / k!; swapping the factors flips the sign of
+    every contraction, so g star F uses (-J hbar/2)^k.  The series
     terminates at k = deg g because each contraction spends one derivative
     on the polynomial factor.
     """
@@ -175,16 +174,26 @@ def star_gp(
         raise ValueError("class must be elliptic or hyperbolic")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+    if F.dof != 1 or g.dof != 1:
+        raise ValueError("star_gp is implemented for one degree of freedom")
     h2 = Fraction(hbar) / 2
     jh2 = J_UNIT[cls] * (h2 if side == "left" else -h2)
-    total = None
-    for k, level in zip(range(g.degree + 1), contractions(F, g)):
-        # a rational 1 at k = 0 keeps the plain product's coefficients rational
-        w = jh2**k / factorial(k) if k else 1
-        for a, b, c, _, _ in level:
-            term = a * b.scale(w * c)
-            total = term if total is None else total + term
+    total = F * g  # level 0, whose rational weight 1 keeps the coefficients rational
+    for k in range(1, g.degree + 1):
+        w = jh2**k / factorial(k)
+        for j in range(k + 1):
+            b = _derivs(g, k - j, j)
+            if b:
+                a = _derivs(F, j, k - j)
+                total = total + a * b.scale(w * comb(k, j) * (-1) ** (k - j))
     return total
+
+
+def _derivs(x, dq: int, dp: int):
+    """d_q^dq d_p^dp x on one degree of freedom."""
+    for axis in (0,) * dq + (1,) * dp:
+        x = x.deriv(axis)
+    return x
 
 
 def positivity_functional(
@@ -330,12 +339,6 @@ def _lattice_chunks(N: list, bound: int):
     lin, quad = lin.ravel(), quad.ravel()
     for c in range(-bound, bound + 1):
         yield N[0][0] * c * c + c * lin + quad
-
-
-def _lattice_values(N: list, bound: int):
-    """The values of ``_lattice_chunks`` one by one, as Python ints."""
-    for chunk in _lattice_chunks(N, bound):
-        yield from chunk.tolist()
 
 
 def _lattice_point(index: int, bound: int) -> tuple:

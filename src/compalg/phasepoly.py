@@ -22,10 +22,9 @@ k!/prod k_i!, and ``series`` multiplies numerators through them to sum
 sum_k w_k f (<->nabla)^k g for given weights, with no derivative taken
 and no Fraction built.  The three classes differ only in J^2 (-1, 0, +1)
 inside the one series sum_k (J hbar/2)^k/k! nabla^k, whose even half is
-``sigma`` and whose odd half (J factored out) is ``alpha``.
-``contractions`` walks the same levels as merged signed derivative pairs;
-it serves the Gaussian-weighted star product of :mod:`compalg.moyalpos`
-and the tests' oracles.
+``sigma`` and whose odd half (J factored out) is ``alpha``.  Every
+product goes through the tables: the plain product ``*`` is level 0 of
+the series.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, gcd, lcm, perm
-from operator import add
 
 from .errors import DofMismatch
 from .scalars import EPS_DUAL, I_COMPLEX, J_SPLIT, _make, _Pair
@@ -145,13 +143,8 @@ class PhasePoly:
     def __mul__(self, other):
         if not isinstance(other, PhasePoly):
             return self.scale(other)
-        self._check(other)
-        t = {}
-        for e1, n1 in self.nums.items():
-            for e2, n2 in other.nums.items():
-                e = tuple(map(add, e1, e2))
-                t[e] = t.get(e, 0) + n1 * n2
-        return PhasePoly._canonical(self.dof, self.den * other.den, t)
+        # level 0 of the series: the plain product
+        return _contract(self, other, 1, {0: 1})
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -227,38 +220,6 @@ class PhasePoly:
         return f"PhasePoly({self.canonical_str()})"
 
 
-def contractions(f, g: PhasePoly):
-    """Levels k = 0, 1, 2, ... of f (<->nabla)^k g, as lists of pairs.
-
-    One contraction applies sum_i (d_qi (x) d_pi - d_pi (x) d_qi), so level
-    k is sum c * a b over one pair per multi-index m of size k: a = d^m f,
-    b takes the same derivatives of g with q and p swapped, and the integer
-    c = k!/m! (-1)^(p-part of m) counts the orderings.  A pair is reached
-    once, along the ascending axis sequence of m, and carries its last axis
-    and that axis's count as two more entries.  So each derivative is taken
-    once (the right one first), a vanishing pair has no successors, and the
-    walk ends at the first empty level.  The left factor only needs
-    ``deriv``, truthiness and ``*``; moyalpos puts a Gaussian-weighted
-    polynomial there.
-    """
-    n = g.dof
-    level, k = [(f, g, 1, 0, 0)], 0
-    while level:
-        yield level
-        k += 1
-        nxt = []
-        for a, b, c, last, run in level:
-            for axis in range(last, 2 * n):
-                db = b.deriv(axis + n if axis < n else axis - n)
-                da = a.deriv(axis) if db else None
-                if da:
-                    # k!/m! from (k-1)!/m'!: m's count on this axis is r
-                    r = run + 1 if axis == last else 1
-                    sign = 1 if axis < n else -1
-                    nxt.append((da, db, sign * c * k // r, axis, r))
-        level = nxt
-
-
 def _split(v) -> tuple:
     """v as (numerator, denominator), the denominator a positive int.
 
@@ -329,7 +290,7 @@ def _table(aq: int, ap: int, bq: int, bp: int) -> tuple:
 
         T[k] = sum_j C(k, j) (-1)^(k-j) (aq)_j (ap)_(k-j) (bp)_j (bq)_(k-j),
 
-    (x)_j the falling factorial: j of the k contractions take d_q on the
+    (x)_j the falling factorial: j of the k factors nabla take d_q on the
     left and d_p on the right, the other k - j the reverse.  An integer
     that depends on neither the class nor hbar.  Returns
     (k, T[k], (aq+bq-k,), (ap+bp-k,)) for each k with T[k] != 0, the
@@ -350,7 +311,7 @@ def _table(aq: int, ap: int, bq: int, bp: int) -> tuple:
 def _contract(f: PhasePoly, g: PhasePoly, dw: int, nw: dict) -> PhasePoly:
     """sum_k (nw[k] / dw) f (<->nabla)^k g, for nw = {0: n_0, 1: n_1, ...}.
 
-    nabla is the sum of the degrees of freedom's commuting contractions,
+    nabla is the sum of the commuting nablas of the degrees of freedom,
     so a monomial pair's level k is the sum over k_1 + ... + k_n = k of
     k!/prod k_i! prod_i T_i[k_i], each T_i read from ``_table``; the
     multinomial is built up as prod_i C(k_1 + ... + k_i, k_i).  Levels at
@@ -359,8 +320,7 @@ def _contract(f: PhasePoly, g: PhasePoly, dw: int, nw: dict) -> PhasePoly:
     multiply into one dict, and the result is one ``_lowest`` over
     dw * f.den * g.den.
     """
-    if f.dof != g.dof:
-        raise DofMismatch(f"dof {f.dof} vs {g.dof}")
+    f._check(g)
     n, top = g.dof, len(nw)
     acc = {}
     right = list(g.nums.items())

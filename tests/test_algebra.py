@@ -192,6 +192,15 @@ def test_basis_inverts_decompose():
     assert t == u and t[0] == 6 and bip.add(t, t) == bip.scale(t, Fraction(2))
 
 
+def _with_extra_a(a, b, extra_a):
+    """compose_bipartite(a, b) whose skew product carries the forbidden
+    extra_a * alpha1 alpha2 term, so the a = 0 law can be falsified."""
+    law = [(a.alpha, b.sigma, 1), (a.sigma, b.alpha, 1), (a.alpha, b.alpha, extra_a)]
+    return dataclasses.replace(
+        compose_bipartite(a, b), alpha=algebra._product(law, algebra._expander(a), algebra._expander(b))
+    )
+
+
 def _decomposed_residual(carrier, x) -> float:
     """The residual through ``decompose``: one value per coefficient, then the max."""
     return max(map(algebra._magnitude, carrier.decompose(x).values()), default=0.0)
@@ -201,7 +210,7 @@ def test_composite_residual_matches_decompose_path():
     """max |numerator| / den, one int true division, is bit for bit the float
     of the largest decomposed coefficient, on exact, nested and float composites."""
     c = phase_poly_carrier(ELLIPTIC, Fraction(1, 2), 1, 3)
-    bip = compose_bipartite(c, c, extra_a=Fraction(1, 3))
+    bip = _with_extra_a(c, c, Fraction(1, 3))
     nested = compose_bipartite(bip, c)
     m = matrix_carrier(2, Fraction(1))
     fbip = compose_bipartite(m, m)
@@ -245,7 +254,7 @@ def test_composition_oracle_is_dof2_carrier(cls, hbar):
 def test_composition_oracle_control_nonzero_a(cls):
     c1 = phase_poly_carrier(cls, Fraction(2), dof=1, max_degree=3)
     c2 = phase_poly_carrier(cls, Fraction(2), dof=2)
-    bad = compose_bipartite(c1, c1, extra_a=Fraction(1))
+    bad = _with_extra_a(c1, c1, Fraction(1))
     rng = random.Random(12)
     pairs = [
         tuple(tensor(c1, c1, c1.sample(rng), c1.sample(rng)) for _ in range(2))
@@ -265,7 +274,7 @@ def test_expected_fail_report_semantics():
 def _reference_falsify(c, extra_a, count, seed):
     """One Leibniz-alpha sweep per a through check_identity on the composite
     with the extra term: the slow-path oracle of falsify_sweep."""
-    rep = check_identity(compose_bipartite(c, c, extra_a=extra_a), "leibniz-alpha", count, seed)
+    rep = check_identity(_with_extra_a(c, c, extra_a), "leibniz-alpha", count, seed)
     rep.expected = "fail" if extra_a else "pass"
     return rep
 
@@ -366,7 +375,7 @@ def test_composite_product_matches_fraction_loop(cls, hbar, extra_a):
     """Integer numerators over one denominator give exactly the Fraction loop's
     coefficients; hbar = 1/2 makes the law weight mu = -1/16 non-integer."""
     c = phase_poly_carrier(cls, hbar, dof=1, max_degree=3)
-    bip = compose_bipartite(c, c, extra_a=extra_a)
+    bip = _with_extra_a(c, c, extra_a)
     ref = {prod: _reference_product(c, c, prod, extra_a) for prod in ("sigma", "alpha")}
     rng = random.Random(21)
     _assert_matches_reference(bip, ref, [bip.unit] + [bip.sample(rng) for _ in range(3)])
@@ -393,7 +402,7 @@ def test_composite_product_makes_one_fraction_per_coefficient(monkeypatch):
     """With the memo tables warm, a product does no Fraction arithmetic and
     builds no Fraction; decompose builds one per output coefficient."""
     c = phase_poly_carrier(ELLIPTIC, Fraction(2), dof=1, max_degree=3)
-    bip = compose_bipartite(c, c, extra_a=Fraction(1))
+    bip = _with_extra_a(c, c, Fraction(1))
     rng = random.Random(23)
     x, y = bip.sample(rng), bip.sample(rng)
     bip.alpha(x, y)  # fills the memo tables

@@ -19,6 +19,7 @@ from compalg.cli import (
     run,
 )
 from compalg.errors import ConfigError, EigenFailure, SchemaMismatch
+from test_algebra import _with_extra_a
 
 FAST_SUITES = ["split-complex-geometry", "minimizer-no-go", "quantions"]
 
@@ -275,9 +276,8 @@ def test_falsify_suite_reports_the_a0_residual(monkeypatch):
     cfg = fast_cfg(suites=["falsify-nonzero-a"])
     (suite,) = run(cfg)["suites"]
     assert suite["verdict"] == "pass" and suite["max_residual"] == 0.0
-    law = algebra.compose_bipartite
     # a composite skew product that carries 1/3 alpha1 alpha2 even at a = 0
-    monkeypatch.setattr(algebra, "compose_bipartite", lambda a, b: law(a, b, extra_a=Fraction(1, 3)))
+    monkeypatch.setattr(algebra, "compose_bipartite", lambda a, b: _with_extra_a(a, b, Fraction(1, 3)))
     (suite,) = run(cfg)["suites"]
     assert suite["verdict"] == "fail" and suite["max_residual"] > 0.0
 
@@ -308,6 +308,18 @@ def test_non_positive_hbar_is_a_config_error(tmp_path, capsys, hbar):
     assert main(["verify", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err == "error: hbar must be positive\n"
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_too_small_berezin_n_is_a_config_error(tmp_path, capsys, n):
+    # the berezin suite quantizes q and p, which needs N >= deg + 4 = 5
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"suites = berezin\nberezin_n = {n}\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: berezin_n must be at least 5\n" and "Traceback" not in err
+    cfg.write_text("suites = berezin\nberezin_n = 5\n")
+    assert main(["verify", "--config", str(cfg), "--report", str(tmp_path / "r.json")]) == 0
 
 
 def test_quantions_suite_checks_the_factorization(monkeypatch):

@@ -79,7 +79,12 @@ def test_symmetry_sweep_with_negative_control():
         st = random_state(rng, rng.randint(2, 4), rng.randint(2, 4))
         phases = [rng.uniform(-pi, pi) for _ in range(min(st.dims))]
         assert verify_symmetry(st, phases, tol=1e-12)
-        if not verify_symmetry(st, phases, tol=1e-12, sabotage=True):
+        # negative control: the counter-unitary's entrywise conjugate in
+        # place of its inverse
+        sf = schmidt(st)
+        v_p = system_unitary(sf, phases, st.dims[0])
+        u_n = counter_unitary(sf, v_p.conj().T)
+        if restores(st, v_p, np.conj(u_n)) > 1e-12:
             broken += 1
     assert broken == 100  # the sabotaged inverse must fail every generic case
 

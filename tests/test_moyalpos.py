@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from compalg.moyalpos import (
     _gram,
     _lattice_chunks,
     _lattice_form,
-    _lattice_values,
     elliptic_control_sweep,
     fock_wigner,
     ghost_search,
@@ -30,6 +30,7 @@ from compalg.moyalpos import (
 )
 from compalg.phasepoly import ELLIPTIC, HYPERBOLIC, J_UNIT, PhasePoly
 from compalg.scalars import J_SPLIT, SplitComplex
+from test_phasepoly import _contractions_slow
 
 H = Fraction(2)
 
@@ -96,6 +97,41 @@ def test_star_gp_bopp_shift_oracle():
                     shift = F.deriv(1).scale(J_UNIT[cls] * (sign * h / 2))
                     oracle = F * q + shift
                     assert got.poly == oracle.poly and got.s == oracle.s
+
+
+def _star_gp_slow(F, g, side, cls, hbar):
+    """sum_k (+-J hbar/2)^k/k! sum c a b over the pairs of
+    ``_contractions_slow(F, g, k)``, the Gaussian factor on the left."""
+    jh2 = J_UNIT[cls] * (Fraction(hbar) / 2) * (1 if side == "left" else -1)
+    total = F * g
+    for k in range(1, g.degree + 1):
+        for a, b, c in _contractions_slow(F, g, k):
+            total = total + a * b.scale(jh2**k / factorial(k) * c)
+    return total
+
+
+@pytest.mark.parametrize("cls", (ELLIPTIC, HYPERBOLIC))
+@pytest.mark.parametrize("side", ("left", "right"))
+def test_star_gp_matches_slow_contractions(cls, side):
+    """The per-dof closed form against one pair per ordering of the
+    contractions, on seeded g of degree <= 3, rational and J-valued."""
+    rng = random.Random(51)
+    for m in FOCK_LEVELS:
+        for h in (Fraction(1, 2), H, Fraction(3)):
+            F = fock_wigner(m, h)
+            for _ in range(3):
+                g = sample_poly(rng, 1, 3)
+                for gg in (g, g + sample_poly(rng, 1, 2).scale(J_UNIT[cls] * Fraction(1, 3))):
+                    got, want = star_gp(F, gg, side, cls, h), _star_gp_slow(F, gg, side, cls, h)
+                    assert (got.poly, got.s, got.pi_exp) == (want.poly, want.s, want.pi_exp), (m, h, gg)
+
+
+def test_star_gp_needs_one_degree_of_freedom():
+    F2 = GaussPoly(H, PhasePoly.const(1, 2))
+    with pytest.raises(ValueError, match="one degree of freedom"):
+        star_gp(F2, PhasePoly.q(1, 2))
+    with pytest.raises(ValueError, match="one degree of freedom"):
+        star_gp(fock_wigner(0, H), PhasePoly.q(1, 2))
 
 
 def test_star_gp_elliptic_vs_hyperbolic_sign_pattern():
@@ -279,14 +315,19 @@ def _walk_cases():
     yield "non-symmetric", [[rng.randint(-9, 9) for _ in range(5)] for _ in range(5)]
 
 
+def _lattice_values(N, bound):
+    """The values of ``_lattice_chunks`` one by one, as Python ints."""
+    return [v for chunk in _lattice_chunks(N, bound) for v in chunk.tolist()]
+
+
 def test_lattice_walk_matches_per_point_form():
     """The prefix walk gives the per-point form at every point, in lattice order."""
     for name, N in _walk_cases():
         for bound in (0, 1, 2, 3):
             want = [_form(N, c) for c in lattice_points(bound)]
-            assert list(_lattice_values(N, bound)) == want, (name, bound)
+            assert _lattice_values(N, bound) == want, (name, bound)
     # a negative bound is an empty lattice, as lattice_points makes it
-    assert list(_lattice_values([[1] * 5] * 5, -1)) == []
+    assert _lattice_values([[1] * 5] * 5, -1) == []
 
 
 def test_lattice_values_beyond_int64_match_per_point_form():
@@ -297,7 +338,7 @@ def test_lattice_values_beyond_int64_match_per_point_form():
     for bound in (1, 2):
         want = [_form(N, c) for c in lattice_points(bound)]
         assert max(abs(v) for v in want) > 2**63
-        got = list(_lattice_values(N, bound))
+        got = _lattice_values(N, bound)
         assert got == want
         assert all(type(v) is int for v in got)
     # the same form scaled down stays on int64 and agrees as well

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from math import factorial, gcd, prod
 
 import pytest
@@ -20,7 +20,6 @@ from compalg.phasepoly import (
     PARABOLIC,
     PhasePoly,
     alpha,
-    contractions,
     hbar_zero_limit,
     nabla_power,
     poisson,
@@ -80,8 +79,11 @@ def test_nabla_power_against_sympy(dof):
 
 
 def _contractions_slow(f, g, k):
-    """The recursive enumerator the level walk replaced: one pair per ordering
-    of the k contractions, every level below k derived afresh."""
+    """The pairs (d^m f, d^m' g, sign) of f (<->nabla)^k g, by recursion: one
+    pair per ordering of the k contractions, every level below k derived
+    afresh, and a pair with a vanishing side dropped.  The oracle the integer
+    tables are held to.  The left factor only needs ``deriv`` and ``*``, so
+    a Gaussian-weighted polynomial (always truthy) can stand there."""
     if k == 0:
         yield f, g, 1
         return
@@ -109,7 +111,7 @@ def test_nabla_power_matches_slow_path(dof):
             assert nabla_power(f, g, k) == slow
 
 
-def test_nabla_power_takes_each_derivative_once(monkeypatch):
+def test_nabla_power_takes_no_derivative(monkeypatch):
     x = PhasePoly.q(1, 2) + PhasePoly.q(2, 2) + PhasePoly.p(1, 2) + PhasePoly.p(2, 2)
     x4 = x * x * x * x
     calls = []
@@ -120,27 +122,22 @@ def test_nabla_power_takes_each_derivative_once(monkeypatch):
         return deriv(self, axis)
 
     monkeypatch.setattr(PhasePoly, "deriv", counted)
-    # the product path reads integer tables and takes no derivative
+    # the product path, the plain product included, reads integer tables
+    # and takes no derivative
     nabla_power(x4, x4, 4)
+    assert x4 * x4 == x * x * x4 * x * x
     assert calls == []
-    # levels 0..4 of the walk, without building level 5
-    levels = [level for _, level in zip(range(5), contractions(x4, x4))]
-    # one left and one right derivative per multi-index of size 1..4 in four
-    # variables: 2 * (4 + 10 + 20 + 35); one pair per ordering takes 680
-    assert len(calls) == 138
-    # one pair per multi-index, whose |c| = k!/m! sums to all 4^k orderings
-    assert [len(level) for level in levels] == [1, 4, 10, 20, 35]
-    assert [sum(abs(c) for _, _, c, _, _ in level) for level in levels] == [4**k for k in range(5)]
 
 
 def _reference_series(f, g, weights):
-    """The Fraction ``series`` before integer numerators: each pair adds
-    a * (w c b) as a PhasePoly.  The slow-path oracle."""
+    """The Fraction ``series`` before integer numerators: each pair of
+    ``_contractions_slow`` adds a * (w c b) as a PhasePoly.  The slow-path
+    oracle."""
     total = None
-    for w, level in zip(weights, contractions(f, g)):
+    for k, w in enumerate(weights):
         if not w:
             continue
-        for a, b, c, _, _ in level:
+        for a, b, c in _contractions_slow(f, g, k):
             term = a * b.scale(w * c)
             total = term if total is None else total + term
     return f * PhasePoly(g.dof) if total is None else total
@@ -224,7 +221,7 @@ def _monomials(nvars, top):
 @pytest.mark.parametrize("cls", CLASSES)
 @pytest.mark.parametrize("dof, top", [(1, 4), (2, 3)])
 def test_products_match_generating_function(cls, dof, top):
-    """An oracle independent of the walk.  For e^(a.x) and e^(b.x) every
+    """An oracle independent of the enumerator.  For e^(a.x) and e^(b.x) every
     contraction gives a^b = sum_i a_qi b_pi - a_pi b_qi, so sigma of them is
     e^((a+b).x) sum_j mu^j (a^b)^(2j)/(2j)! and alpha the odd twin
     sum_j mu^j (a^b)^(2j+1)/(2j+1)!, mu = J^2 hbar^2/4.  The products of
@@ -440,36 +437,38 @@ def test_trusted_results_pass_the_public_checks(cls):
 
 
 def _level_sums(f, g):
-    """sum c a b over each level of ``contractions``, up to the first empty one."""
+    """sum c a b over each level of ``_contractions_slow``, up to the first empty one."""
     out = []
-    for level in contractions(f, g):
+    for k in count():
+        level = list(_contractions_slow(f, g, k))
+        if not level:
+            return out
         total = PhasePoly(g.dof)
-        for a, b, c, _, _ in level:
+        for a, b, c in level:
             total = total + (a * b).scale(c)
         out.append(total)
-    return out
 
 
-def _assert_tables_match_walk(dof, pairs):
+def _assert_tables_match_slow(dof, pairs):
     for m, mm in pairs:
         f, g = PhasePoly(dof, {m: 1}), PhasePoly(dof, {mm: 1})
-        walk = _level_sums(f, g)
-        # one level past the walk's end, which the tables must leave empty too
-        assert [nabla_power(f, g, k) for k in range(len(walk) + 1)] == walk + [PhasePoly(dof)], (m, mm)
+        slow = _level_sums(f, g)
+        # one level past the enumerator's end, which the tables must leave empty too
+        assert [nabla_power(f, g, k) for k in range(len(slow) + 1)] == slow + [PhasePoly(dof)], (m, mm)
 
 
 @pytest.mark.parametrize("dof, top", [(1, 4), (2, 3)])
 def test_tables_match_contractions_on_every_monomial_pair(dof, top):
     """The per-dof integer tables, combined by the multinomial, give every
-    level of the derivative walk, on every monomial pair up to degree top."""
+    level of the recursive enumerator, on every monomial pair up to degree top."""
     mons = _monomials(2 * dof, top)
-    _assert_tables_match_walk(dof, product(mons, mons))
+    _assert_tables_match_slow(dof, product(mons, mons))
 
 
 def test_tables_match_contractions_on_seeded_dof3_pairs():
     rng = random.Random(41)
     mons = _monomials(6, 3)
-    _assert_tables_match_walk(3, [(rng.choice(mons), rng.choice(mons)) for _ in range(150)])
+    _assert_tables_match_slow(3, [(rng.choice(mons), rng.choice(mons)) for _ in range(150)])
 
 
 def _assert_canonical(f):
