@@ -1,7 +1,9 @@
 """Positivity laboratory on flat phase space.
 
 States are Gaussian-weighted polynomials, integrated exactly via Gaussian
-moments with pi carried as a formal power.  Star products keep one
+moments with pi carried as a formal power; ``integrate`` pairs a state
+with a polynomial on their integer numerators, one sum per half-degree,
+without building their product.  Star products keep one
 polynomial factor so every series terminates.  On the one degree of
 freedom of the Fock states, level k of the series is the closed form
 sum_j C(k, j) (-1)^(k-j) d_q^j d_p^(k-j) (x) d_p^j d_q^(k-j), applied with
@@ -11,7 +13,8 @@ derivatives are not finite sums of monomials).  The functional
 <g* star g> is then an exact rational (or split-complex) number, which
 makes the elliptic/hyperbolic positivity split decidable, not numeric.
 It is sesquilinear in the coefficients of g, so the lattice sweeps read it
-off one exact 3x3 Gram matrix over {1, q, p} per state instead of
+off one exact 3x3 Gram matrix over {1, q, p} per state, each entry the
+pairing of the state with one product e_i star e_j, instead of
 expanding a star product at every lattice point, as an integer quadratic
 form evaluated on integer arrays, one per value of the leading coordinate
 (int64 while the form's bound allows it, Python ints beyond), so the ghost
@@ -22,18 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 
 import numpy as np
 
 from .errors import ExhaustedWithoutWitness, NonNormalized, UnsupportedLevel
-from .phasepoly import (
-    ELLIPTIC,
-    HYPERBOLIC,
-    J_UNIT,
-    PhasePoly,
-    star,
-)
+from .phasepoly import ELLIPTIC, HYPERBOLIC, J_UNIT, PhasePoly, _ratio, star
 from .scalars import J_SPLIT
 
 
@@ -82,45 +79,35 @@ class GaussPoly:
     def conjugate(self) -> "GaussPoly":
         return GaussPoly(self.s, poly_conj(self.poly), self.pi_exp)
 
-    def scale(self, c) -> "GaussPoly":
-        return GaussPoly(self.s, self.poly.scale(c), self.pi_exp)
-
     def __add__(self, other: "GaussPoly") -> "GaussPoly":
         if self.s != other.s or self.pi_exp != other.pi_exp:
             raise ValueError("mismatched envelope or pi power")
         return GaussPoly(self.s, self.poly + other.poly, self.pi_exp)
 
 
-def _double_factorial_odd(m: int) -> int:
-    # (2m-1)!! = (2m)! / (2^m m!)
-    return factorial(2 * m) // (2**m * factorial(m))
+def integrate(F: GaussPoly, h: PhasePoly | None = None):
+    """Exact integral of F h (h = 1 if not given) over R^2n as (value, pi_exponent).
 
-
-def _moment(k: int, s: Fraction) -> Fraction:
-    """integral x^k exp(-x^2/s) dx divided by sqrt(pi s); zero for odd k."""
-    if k % 2:
-        return Fraction(0)
-    m = k // 2
-    return _double_factorial_odd(m) * (s / 2) ** m
-
-
-def integrate(gp: GaussPoly):
-    """Exact integral over R^2n as (value, pi_exponent).
-
-    Each variable contributes sqrt(pi s) times a rational moment, so 2n
-    variables give an overall pi^n s^n rational prefactor.
+    Each of the 2n variables gives sqrt(pi s) times its moment, (k-1)!!
+    (s/2)^(k/2) for even k and 0 for odd k.  A pair of terms of F and h with
+    even exponent sums k_i adds its numerators' product times prod (k_i-1)!!
+    to the integer sum S_m of half-degree m = sum k_i / 2.  With s/2 = a/b
+    the value is sum_m S_m a^(m+n) b^(top-m) / (b^top (b/2)^n) over the
+    denominators of F and h: integers up to one Fraction, and F h never built.
     """
-    n = gp.dof
-    total = Fraction(0)
-    for e, c in gp.poly.terms.items():
-        m = Fraction(1)
-        for k in e:
-            m *= _moment(k, gp.s)
-            if m == 0:
-                break
-        if m:
-            total = total + c * (m * gp.s**n)
-    return total, gp.pi_exp + n
+    if h is None:
+        h = PhasePoly.const(1, F.dof)
+    F.poly._check(h)
+    sums = {}
+    for e1, c1 in F.poly.nums.items():
+        for e2, c2 in h.nums.items():
+            ks = [a + b for a, b in zip(e1, e2)]
+            if not any(k % 2 for k in ks):
+                m = sum(ks) // 2
+                sums[m] = sums.get(m, 0) + c1 * c2 * prod(prod(range(k - 1, 0, -2)) for k in ks)
+    a, b, n, top = F.s.numerator, 2 * F.s.denominator, F.dof, max(sums, default=0)
+    num = sum(c * a**m * b ** (top - m) for m, c in sums.items()) * a**n
+    return _ratio(num, b**top * (b // 2) ** n * F.poly.den * h.den), F.pi_exp + n
 
 
 FOCK_LEVELS = (0, 1, 2)
@@ -264,12 +251,13 @@ def lattice_points(bound: int = 2):
 
 
 def _gram(F: GaussPoly, cls: str, hbar: Fraction) -> list:
-    """G_ij = integral F (e_i star e_j) over the basis e = (1, q, p).
+    """G_ij = integral F (e_i star e_j) = integrate(F, e_i star e_j), e = (1, q, p).
 
     The functional is sesquilinear, so <g* star g> = sum conj(a_i) a_j G_ij
     for g = sum a_i e_i.  For an elliptic ground state the chain equality
     G_ij = 2 pi hbar integral (e_i star F)* (e_j star F) is checked on the
-    whole matrix, which covers every g in span{1, q, p} at once.
+    whole matrix, which covers every g in span{1, q, p} at once, pairing
+    (e_i star F)* with e_j star F under their product envelope (width s/2).
     """
     val, pexp = integrate(F)
     if (val, pexp) != (1, 0):
@@ -279,16 +267,17 @@ def _gram(F: GaussPoly, cls: str, hbar: Fraction) -> list:
     for ei in basis:
         row = []
         for ej in basis:
-            out, out_pexp = integrate(F * star(ei, ej, cls, hbar))
+            out, out_pexp = integrate(F, star(ei, ej, cls, hbar))
             if out_pexp != 0 and out != 0:
                 raise AssertionError("functional did not normalize to pi^0")
             row.append(out)
         G.append(row)
     if cls == ELLIPTIC and F.poly.degree == 0:
-        eF = [star_gp(F, e, "right", cls, hbar) for e in basis]
+        eF = [star_gp(F, e, "right", cls, hbar).poly for e in basis]
         for i, row in enumerate(G):
+            left = GaussPoly(F.s / 2, poly_conj(eF[i]), 2 * F.pi_exp)
             for j, out in enumerate(row):
-                rhs, rhs_pexp = integrate(eF[i].conjugate().mul_gauss(eF[j]))
+                rhs, rhs_pexp = integrate(left, eF[j])
                 if (out, 0) != (rhs * 2 * hbar, 0 if rhs == 0 else rhs_pexp + 1):
                     raise AssertionError("chain equality failed")
     return G

@@ -22,9 +22,10 @@ k!/prod k_i!, and ``series`` multiplies numerators through them to sum
 sum_k w_k f (<->nabla)^k g for given weights, with no derivative taken
 and no Fraction built.  The three classes differ only in J^2 (-1, 0, +1)
 inside the one series sum_k (J hbar/2)^k/k! nabla^k, whose even half is
-``sigma`` and whose odd half (J factored out) is ``alpha``.  Every
-product goes through the tables: the plain product ``*`` is level 0 of
-the series.
+``sigma``, whose odd half (J factored out) is ``alpha``, and whose whole,
+on J-valued weights, is ``star``.  Every product goes through the
+tables in one contraction: the plain product ``*`` is level 0 of the
+series.
 """
 
 from __future__ import annotations
@@ -362,27 +363,27 @@ def poisson(f: PhasePoly, g: PhasePoly) -> PhasePoly:
 
 
 @cache
-def _weights(cls: str, hbar: Fraction, parity: int, top: int) -> tuple:
-    """Weights of the even (parity 0) or odd (parity 1) half up to level top.
+def _weights(cls: str, hbar: Fraction, parity: int | None, top: int) -> tuple:
+    """Weights up to level top of sum_k u^k/k! nabla^k, u = J hbar/2.
 
-    J^parity is factored out, so the k-th weight is
-    s^(k//2) (hbar/2)^(k - parity) / k! with s = J^2.  Once it is zero
-    (k >= 2 when J^2 = 0, or hbar = 0) it stays zero, which ends them.
-    Returned split once, as (den, {k: numerator}), and cached, so a product
-    with known weights does no Fraction arithmetic.
+    Parity None takes all of them, J-valued (``star``); parity 0 or 1 the
+    even or odd half with u^parity factored out, whose k-th weight
+    u^(k - parity)/k! is rational.  Once a weight is zero (k >= 2 when
+    J^2 = 0, or hbar = 0) it stays zero, which ends them.  Returned split
+    once, as (den, {k: numerator}), and cached, so a product with known
+    weights does no Fraction arithmetic.
     """
-    s, h2 = J_SQUARED[cls], Fraction(hbar) / 2
-    weights = []
-    for k in range(parity, top + 1, 2):
-        c = s ** (k // 2) * h2 ** (k - parity) / factorial(k)
+    u, p, weights = J_UNIT[cls] * (Fraction(hbar) / 2), parity or 0, []
+    for k in range(p, top + 1, 1 if parity is None else 2):
+        c = u ** (k - p) / factorial(k)
         if not c:
             break
         weights += [0] * (k - len(weights)) + [c]
     return _over_lcm(dict(enumerate(weights)))
 
 
-def _series(f: PhasePoly, g: PhasePoly, cls: str, hbar: Fraction, parity: int) -> PhasePoly:
-    """Even (parity 0) or odd (parity 1) half of sum_k (J hbar/2)^k/k! nabla^k.
+def _series(f: PhasePoly, g: PhasePoly, cls: str, hbar: Fraction, parity: int | None) -> PhasePoly:
+    """The whole (parity None), even (0) or odd (1) half of sum_k (J hbar/2)^k/k! nabla^k.
 
     nabla^k vanishes once k exceeds either factor's degree, so the weights
     stop there.
@@ -401,9 +402,10 @@ def sigma(f: PhasePoly, g: PhasePoly, cls: str, hbar: Fraction = DEFAULT_HBAR) -
 
 
 def star(f: PhasePoly, g: PhasePoly, cls: str, hbar: Fraction = DEFAULT_HBAR) -> PhasePoly:
-    """Associative product sigma + (J hbar / 2) alpha over the extended ring."""
-    jh2 = J_UNIT[cls] * (Fraction(hbar) / 2)
-    return sigma(f, g, cls, hbar) + alpha(f, g, cls, hbar).scale(jh2)
+    """Associative product sigma + (J hbar / 2) alpha over the extended ring:
+    the whole series sum_k (J hbar/2)^k/k! f (<->nabla)^k g as one contraction
+    over J-valued weights."""
+    return _series(f, g, cls, hbar, None)
 
 
 def hbar_zero_limit(f: PhasePoly, g: PhasePoly) -> PhasePoly:

@@ -1,6 +1,9 @@
 import ast
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -290,6 +293,18 @@ DEFAULT_REPORT_SHA256 = "de67718fb70b6e180761a1f00c5493f8a5d7d1cf1a55922dcabbce5
 def test_default_report_bytes_are_pinned():
     text = report_json(run(parse_config("")))
     assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_REPORT_SHA256
+
+
+def test_python_m_compalg_runs_from_a_checkout(tmp_path):
+    # `python -m compalg` with only src/ on the path, as from a fresh checkout
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "compalg", "verify", "--suite", "kahler", "--format", "json"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["verdict"] == "pass"
 
 
 @pytest.mark.parametrize("line", ["seed = abc", "pair_count = x", "hbar = 1/0"])

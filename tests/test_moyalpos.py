@@ -9,6 +9,7 @@ import sympy as sp
 
 from compalg.algebra import sample_poly
 from compalg.errors import (
+    DofMismatch,
     ExhaustedWithoutWitness,
     NonNormalized,
     UnsupportedLevel,
@@ -28,7 +29,7 @@ from compalg.moyalpos import (
     positivity_functional,
     star_gp,
 )
-from compalg.phasepoly import ELLIPTIC, HYPERBOLIC, J_UNIT, PhasePoly
+from compalg.phasepoly import CLASSES, ELLIPTIC, HYPERBOLIC, J_UNIT, PhasePoly
 from compalg.scalars import J_SPLIT, SplitComplex
 from test_phasepoly import _contractions_slow
 
@@ -56,6 +57,73 @@ def test_integrate_against_sympy_oracle():
         oracle = sympy_gauss_integral(gp)
         mine = sp.Rational(val.numerator, val.denominator) * sp.pi**pexp
         assert sp.simplify(oracle - mine) == 0
+
+
+def _double_factorial_odd(m: int) -> int:
+    # (2m-1)!! = (2m)! / (2^m m!)
+    return factorial(2 * m) // (2**m * factorial(m))
+
+
+def _moment(k: int, s: Fraction) -> Fraction:
+    """integral x^k exp(-x^2/s) dx divided by sqrt(pi s); zero for odd k."""
+    if k % 2:
+        return Fraction(0)
+    m = k // 2
+    return _double_factorial_odd(m) * (s / 2) ** m
+
+
+def _reference_integrate(gp: GaussPoly):
+    """The per-term Fraction loop the moment pairing replaced, kept as its
+    oracle: each coefficient times the product of its variables' moments."""
+    n = gp.dof
+    total = Fraction(0)
+    for e, c in gp.poly.terms.items():
+        m = Fraction(1)
+        for k in e:
+            m *= _moment(k, gp.s)
+            if m == 0:
+                break
+        if m:
+            total = total + c * (m * gp.s**n)
+    return total, gp.pi_exp + n
+
+
+def _gauss_cases():
+    """(F, h) pairs: dof 1 and 2, widths 1/2 to 3, pi powers -1 and 0, with
+    rational, J-valued (every class) and mixed coefficients, odd-degree terms
+    and polynomials whose integral is 0."""
+    rng = random.Random(19)
+    for dof in (1, 2):
+        q, p = PhasePoly.q(1, dof), PhasePoly.p(1, dof)
+        for s in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)):
+            for pi_exp in (-1, 0):
+                for cls in CLASSES:
+                    j = J_UNIT[cls]
+                    f, h = sample_poly(rng, dof, 4), sample_poly(rng, dof, 4)
+                    jf = f.scale(j * Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+                    mixed = h + sample_poly(rng, dof, 3).scale(j * Fraction(1, 3))
+                    odd = q + (p * p * q).scale(j) + (q * p).scale(Fraction(2, 3))
+                    for x in (f, jf, mixed, odd, PhasePoly(dof)):
+                        for y in (h, mixed, odd, PhasePoly.const(j, dof)):
+                            yield GaussPoly(s, x, pi_exp), y
+
+
+def test_integrate_matches_reference_loop():
+    """Value, type and pi power of integrate(F) as the per-term loop gives
+    them, and the pairing integrate(F, h) as the loop on the product F h."""
+    zeros = 0
+    for F, h in _gauss_cases():
+        got, want = integrate(F), _reference_integrate(F)
+        assert got == want and type(got[0]) is type(want[0]), (F.poly, F.s, F.pi_exp)
+        got, want = integrate(F, h), _reference_integrate(F * h)
+        assert got == want, (F.poly, h, F.s, F.pi_exp)
+        zeros += want[0] == 0
+    assert zeros > 0
+
+
+def test_integrate_pairs_only_matching_dof():
+    with pytest.raises(DofMismatch):
+        integrate(fock_wigner(0, H), PhasePoly.q(1, 2))
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -94,7 +162,8 @@ def test_star_gp_bopp_shift_oracle():
                 for h in (Fraction(1, 2), H, Fraction(3)):
                     F = fock_wigner(m, h)
                     got = star_gp(F, q, side, cls, h)
-                    shift = F.deriv(1).scale(J_UNIT[cls] * (sign * h / 2))
+                    dF = F.deriv(1)
+                    shift = GaussPoly(dF.s, dF.poly.scale(J_UNIT[cls] * (sign * h / 2)), dF.pi_exp)
                     oracle = F * q + shift
                     assert got.poly == oracle.poly and got.s == oracle.s
 
@@ -260,6 +329,33 @@ def test_ghost_table_and_elliptic_minimum(h):
     assert w.canonical == _lattice_poly(coeffs, J_SPLIT).canonical_str()
     assert w.evaluated == list(lattice_points(2)).index(coeffs) + 1
     assert elliptic_control_sweep(h, 2) == 0
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    calls = []
+    orig = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_gram_builds_no_weighted_product(monkeypatch):
+    """Every Gram entry is one pairing, so no F (e_i star e_j) is built, and
+    the ground state's chain check pairs under the product envelope, so no
+    squared state is built; the direct functional still builds both."""
+    level1, ground = fock_wigner(1, H), fock_wigner(0, H)
+    products = _count_calls(monkeypatch, GaussPoly, "__mul__")
+    squares = _count_calls(monkeypatch, GaussPoly, "mul_gauss")
+    _gram(level1, ELLIPTIC, H)
+    assert products == []
+    _gram(ground, ELLIPTIC, H)
+    assert squares == []
+    positivity_functional(ground, PhasePoly.q(), ELLIPTIC, H)
+    assert products and squares
 
 
 def test_gram_chain_equality_can_fail():

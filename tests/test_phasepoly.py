@@ -307,6 +307,47 @@ def test_star_is_associative_in_every_class():
             assert star(star(f, g, cls), h, cls) == star(f, star(g, h, cls), cls)
 
 
+def _reference_star(f, g, cls, hbar):
+    """star built from its halves, sigma + (J hbar/2) alpha: the oracle of the
+    one contraction over J-valued weights."""
+    return sigma(f, g, cls, hbar) + alpha(f, g, cls, hbar).scale(J_UNIT[cls] * (Fraction(hbar) / 2))
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+@pytest.mark.parametrize("hbar", HBARS)
+def test_star_matches_its_halves(cls, hbar):
+    """Same canonical pair and coefficient types as sigma + (J hbar/2) alpha,
+    on seeded dof-1 and dof-2 pairs, rational, J-scaled and mixed."""
+    rng = random.Random(19)
+    j = J_UNIT[cls]
+    for dof in (1, 2):
+        for _ in range(6):
+            f, g = sample_poly(rng, dof, 4), sample_poly(rng, dof, 4)
+            jf = f.scale(j * sample_rational(rng))
+            mixed = g + sample_poly(rng, dof, 3).scale(j * Fraction(1, 3))
+            for x, y in ((f, g), (jf, g), (f, mixed), (g, jf), (jf, mixed), (mixed, mixed)):
+                got, want = star(x, y, cls, hbar), _reference_star(x, y, cls, hbar)
+                assert (got.dof, got.den, got.nums) == (want.dof, want.den, want.nums), (x, y)
+                assert {e: type(n) for e, n in got.nums.items()} == {e: type(n) for e, n in want.nums.items()}
+                assert {e: type(c) for e, c in got.terms.items()} == {e: type(c) for e, c in want.terms.items()}
+
+
+def test_star_is_one_contraction(monkeypatch):
+    """star walks the monomial pairs once, not once per half."""
+    f, g = PhasePoly.q() * PhasePoly.p() + PhasePoly.p(), PhasePoly.q() * PhasePoly.q()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return contract(*args)
+
+    contract = phasepoly._contract
+    monkeypatch.setattr(phasepoly, "_contract", counted)
+    for cls in CLASSES:
+        star(f, g, cls, Fraction(3))
+    assert len(calls) == len(CLASSES)
+
+
 def test_star_canonical_commutator():
     q, p = PhasePoly.q(), PhasePoly.p()
     h = DEFAULT_HBAR
