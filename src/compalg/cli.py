@@ -22,7 +22,7 @@ from math import pi
 
 import numpy as np
 
-from . import __version__, algebra, envariance, hilbert, moyalpos, quantion
+from . import __version__, algebra, berezin, envariance, hilbert, moyalpos, quantion
 from .errors import (
     CompalgError,
     ConfigError,
@@ -318,20 +318,18 @@ def _suite_kahler(cfg: SuiteConfig, seed: int):
 
 
 def _suite_berezin(cfg: SuiteConfig, seed: int):
-    import compalg.berezin as bz
-
     N, h = cfg.berezin_n, 1.0
-    grid = bz.build_grid(h, N, 2)
+    grid = berezin.build_grid(h, N, 2)
     q, p = PhasePoly.q(), PhasePoly.p()
     one = PhasePoly.const(1, 1)
     bad = []
-    e1 = float(np.max(np.abs(bz.trusted(bz.berezin_quantize(one, h, N, grid)) - np.eye(N // 2))))
+    e1 = float(np.max(np.abs(berezin.trusted(berezin.berezin_quantize(one, h, N, grid)) - np.eye(N // 2))))
     if e1 > 1e-6:
         bad.append({"law": "identity", "err": e1})
-    qq = bz.berezin_quantize(q, h, N, grid)
-    pp_ = bz.berezin_quantize(p, h, N, grid)
-    e2 = float(np.max(np.abs(bz.trusted(qq) - bz.trusted(bz.ladder_position_oracle(h, N)))))
-    e3 = float(np.max(np.abs(bz.trusted(pp_) - bz.trusted(bz.ladder_momentum_oracle(h, N)))))
+    qq = berezin.berezin_quantize(q, h, N, grid)
+    pp_ = berezin.berezin_quantize(p, h, N, grid)
+    e2 = float(np.max(np.abs(berezin.trusted(qq) - berezin.trusted(berezin.ladder_position_oracle(h, N)))))
+    e3 = float(np.max(np.abs(berezin.trusted(pp_) - berezin.trusted(berezin.ladder_momentum_oracle(h, N)))))
     if max(e2, e3) > 1e-6:
         bad.append({"law": "ladder", "err": max(e2, e3)})
     corr = hilbert.op_alpha(qq, pp_, h)

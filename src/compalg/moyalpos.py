@@ -12,19 +12,23 @@ products' integer tables need a monomial there, and the Gaussian's
 derivatives are not finite sums of monomials).  The functional
 <g* star g> is then an exact rational (or split-complex) number, which
 makes the elliptic/hyperbolic positivity split decidable, not numeric.
-It is sesquilinear in the coefficients of g, so the lattice sweeps read it
-off one exact 3x3 Gram matrix over {1, q, p} per state, each entry the
-pairing of the state with one product e_i star e_j, instead of
-expanding a star product at every lattice point, as an integer quadratic
-form evaluated on integer arrays, one per value of the leading coordinate
-(int64 while the form's bound allows it, Python ints beyond), so the ghost
-search stops at the first array that holds a negative value.
+One path, ``_pairings``, computes it: the matrix of pairings of the state
+with the products g_i* star g_j, with one normalization check and, for an
+elliptic ground state, one chain-equality check.  The functional of one g
+is its 1x1 matrix.  It is sesquilinear in the coefficients of g, so the
+lattice sweeps read it off one exact 3x3 Gram matrix over {1, q, p} per
+state instead of expanding a star product at every lattice point, as an
+integer quadratic form evaluated on integer arrays, one per value of the
+leading coordinate (int64 while the form's bound allows it, Python ints
+beyond), so the ghost search stops at the first array that holds a
+negative value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, product
 from math import comb, factorial, lcm, prod
 
 import numpy as np
@@ -36,7 +40,7 @@ from .scalars import J_SPLIT
 
 def poly_conj(f: PhasePoly) -> PhasePoly:
     """Coefficient-wise involution (identity on rational coefficients)."""
-    return PhasePoly(f.dof, {e: c.conjugate() for e, c in f.terms.items()})
+    return PhasePoly._canonical(f.dof, f.den, {e: n.conjugate() for e, n in f.nums.items()})
 
 
 class GaussPoly:
@@ -70,14 +74,6 @@ class GaussPoly:
 
     def __mul__(self, g: PhasePoly) -> "GaussPoly":
         return GaussPoly(self.s, self.poly * g, self.pi_exp)
-
-    def mul_gauss(self, other: "GaussPoly") -> "GaussPoly":
-        """Envelopes multiply: widths combine harmonically."""
-        s = 1 / (1 / self.s + 1 / other.s)
-        return GaussPoly(s, self.poly * other.poly, self.pi_exp + other.pi_exp)
-
-    def conjugate(self) -> "GaussPoly":
-        return GaussPoly(self.s, poly_conj(self.poly), self.pi_exp)
 
     def __add__(self, other: "GaussPoly") -> "GaussPoly":
         if self.s != other.s or self.pi_exp != other.pi_exp:
@@ -183,37 +179,42 @@ def _derivs(x, dq: int, dp: int):
     return x
 
 
-def positivity_functional(
-    F: GaussPoly, g: PhasePoly, cls: str, hbar: Fraction = Fraction(2)
-):
-    """integral (g* star g) F over phase space, exact.
+def _pairings(F: GaussPoly, gs, cls: str, hbar: Fraction) -> list:
+    """[[integral F (g_i* star g_j)]] over the test functions gs, exact.
 
-    In the elliptic class with a ground-state F (constant polynomial
-    factor), the result is cross-checked against the chain equality
-    integral (g* star g) F = (2 pi hbar) integral (g star F)* (g star F);
-    the test function sits on the side of F that the ground state
-    annihilates under this sign convention for the bidifferential.
-    The full chain needs F to be a star-idempotent, which the Gaussian is
-    only for the elliptic product.  The lattice sweeps check the same
-    equality on the whole Gram matrix over {1, q, p} (_gram).
+    Each entry is one pairing integrate(F, g_i* star g_j).  For an elliptic
+    ground state F (constant polynomial factor) the chain equality
+    integral F (g_i* star g_j) = 2 pi hbar integral (g_i star F)* (g_j star F)
+    is checked on the whole matrix, pairing (g_i star F)* with g_j star F
+    under their product envelope (width s/2).  The test functions sit on the
+    side of F that the ground state annihilates under this sign convention
+    for the bidifferential; the full chain needs F to be a star-idempotent,
+    which the Gaussian is only for the elliptic product.  No pi power is
+    compared: normalization fixes F.pi_exp = -dof, so a pairing with F has
+    pi^0, and 2 pi hbar times a pairing under the product envelope has
+    pi^(2 F.pi_exp + dof + 1) = pi^0 on the one dof that star_gp admits.
     """
     hbar = Fraction(hbar)
     val, pexp = integrate(F)
     if (val, pexp) != (1, 0):
         raise NonNormalized(f"state integrates to {val} * pi^{pexp}")
-    h = star(poly_conj(g), g, cls, hbar)
-    out, out_pexp = integrate(F * h)
-    if out_pexp != 0 and out != 0:
-        raise AssertionError("functional did not normalize to pi^0")
+    G = [[integrate(F, star(gi, gj, cls, hbar))[0] for gj in gs] for gi in map(poly_conj, gs)]
     if cls == ELLIPTIC and F.poly.degree == 0:
-        fg = star_gp(F, g, "right", cls, hbar)
-        sq = fg.conjugate().mul_gauss(fg)
-        rhs, rhs_pexp = integrate(sq)
-        rhs = rhs * 2 * hbar
-        rhs_pexp += 1
-        if (out, 0 if out == 0 else out_pexp) != (rhs, 0 if rhs == 0 else rhs_pexp):
-            raise AssertionError("chain equality failed")
-    return out
+        gF = [star_gp(F, g, "right", cls, hbar).poly for g in gs]
+        for i, row in enumerate(G):
+            left = GaussPoly(F.s / 2, poly_conj(gF[i]), 2 * F.pi_exp)
+            for j, out in enumerate(row):
+                if out != 2 * hbar * integrate(left, gF[j])[0]:
+                    raise AssertionError("chain equality failed")
+    return G
+
+
+def positivity_functional(
+    F: GaussPoly, g: PhasePoly, cls: str, hbar: Fraction = Fraction(2)
+):
+    """integral (g* star g) F over phase space, exact: the 1x1 ``_pairings``
+    of g, so an elliptic ground state also checks the chain equality on g."""
+    return _pairings(F, (g,), cls, hbar)[0][0]
 
 
 @dataclass(frozen=True)
@@ -241,46 +242,17 @@ def _lattice_poly(c1, c2, c3, c4, c5, unit) -> PhasePoly:
 
 def lattice_points(bound: int = 2):
     """Lexicographic coefficient tuples for g = c1 + (c2+jc4)q + (c3+jc5)p."""
-    rng = range(-bound, bound + 1)
-    for c1 in rng:
-        for c2 in rng:
-            for c3 in rng:
-                for c4 in rng:
-                    for c5 in rng:
-                        yield (c1, c2, c3, c4, c5)
+    return product(range(-bound, bound + 1), repeat=5)
 
 
 def _gram(F: GaussPoly, cls: str, hbar: Fraction) -> list:
-    """G_ij = integral F (e_i star e_j) = integrate(F, e_i star e_j), e = (1, q, p).
+    """G_ij = integral F (e_i star e_j), e = (1, q, p): ``_pairings`` on the basis.
 
     The functional is sesquilinear, so <g* star g> = sum conj(a_i) a_j G_ij
-    for g = sum a_i e_i.  For an elliptic ground state the chain equality
-    G_ij = 2 pi hbar integral (e_i star F)* (e_j star F) is checked on the
-    whole matrix, which covers every g in span{1, q, p} at once, pairing
-    (e_i star F)* with e_j star F under their product envelope (width s/2).
+    for g = sum a_i e_i, and for an elliptic ground state the chain equality
+    checked on the whole matrix covers every g in span{1, q, p} at once.
     """
-    val, pexp = integrate(F)
-    if (val, pexp) != (1, 0):
-        raise NonNormalized(f"state integrates to {val} * pi^{pexp}")
-    basis = (PhasePoly.const(1, 1), PhasePoly.q(), PhasePoly.p())
-    G = []
-    for ei in basis:
-        row = []
-        for ej in basis:
-            out, out_pexp = integrate(F, star(ei, ej, cls, hbar))
-            if out_pexp != 0 and out != 0:
-                raise AssertionError("functional did not normalize to pi^0")
-            row.append(out)
-        G.append(row)
-    if cls == ELLIPTIC and F.poly.degree == 0:
-        eF = [star_gp(F, e, "right", cls, hbar).poly for e in basis]
-        for i, row in enumerate(G):
-            left = GaussPoly(F.s / 2, poly_conj(eF[i]), 2 * F.pi_exp)
-            for j, out in enumerate(row):
-                rhs, rhs_pexp = integrate(left, eF[j])
-                if (out, 0) != (rhs * 2 * hbar, 0 if rhs == 0 else rhs_pexp + 1):
-                    raise AssertionError("chain equality failed")
-    return G
+    return _pairings(F, (PhasePoly.const(1, 1), PhasePoly.q(), PhasePoly.p()), cls, hbar)
 
 
 # lattice coordinate a multiplies u_a e_(i_a) in g = c1 + (c2+Jc4)q + (c3+Jc5)p
@@ -330,16 +302,6 @@ def _lattice_chunks(N: list, bound: int):
         yield N[0][0] * c * c + c * lin + quad
 
 
-def _lattice_point(index: int, bound: int) -> tuple:
-    """The point at ``index`` of ``lattice_points(bound)``: its base-m digits."""
-    m = 2 * bound + 1
-    digits = []
-    for _ in _LATTICE_AXES:  # one digit per coordinate, the last one first
-        index, d = divmod(index, m)
-        digits.append(d - bound)
-    return tuple(reversed(digits))
-
-
 def ghost_search(hbar: Fraction = Fraction(2), bound: int = 2) -> GhostWitness:
     """First (lexicographic) lattice witness of hyperbolic non-positivity.
 
@@ -352,7 +314,7 @@ def ghost_search(hbar: Fraction = Fraction(2), bound: int = 2) -> GhostWitness:
         if chunk.min() < 0:
             j, v = next((j, v) for j, v in enumerate(chunk.tolist()) if v < 0)
             k = i * chunk.size + j  # the point's index in lattice_points order
-            coeffs = _lattice_point(k, bound)
+            coeffs = next(islice(lattice_points(bound), k, None))
             g = _lattice_poly(*coeffs, unit=J_SPLIT)
             return GhostWitness(coeffs, Fraction(v, D), g.canonical_str(), k + 1)
     raise ExhaustedWithoutWitness(f"no negative value on lattice bound {bound}")

@@ -284,6 +284,13 @@ def test_lattice_enumeration_order():
 def test_poly_conj_split_coefficients():
     g = PhasePoly.q().scale(SplitComplex(1, 2))
     assert poly_conj(g) == PhasePoly.q().scale(SplitComplex(1, -2))
+    # one denominator over rational and J-valued terms: (3 + (1-2j) q + j p/2)/6
+    q, p = PhasePoly.q(), PhasePoly.p()
+    mixed = PhasePoly.const(Fraction(1, 2), 1) + q.scale(SplitComplex(1, -2) / 6) + p.scale(J_SPLIT / 12)
+    assert mixed.den == 12
+    bar = PhasePoly.const(Fraction(1, 2), 1) + q.scale(SplitComplex(1, 2) / 6) - p.scale(J_SPLIT / 12)
+    assert poly_conj(mixed) == bar
+    assert poly_conj(bar) == mixed
 
 
 HBARS = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3))
@@ -309,7 +316,8 @@ def _form(N, c) -> int:
 
 
 def test_gram_form_matches_functional_oracle():
-    # the direct functional, with its per-point chain check, is the oracle
+    # the functional pairs the whole g* star g at each point, independent of
+    # the expansion over the basis {1, q, p} and of the integer lattice form
     rng = random.Random(5)
     for cls in (ELLIPTIC, HYPERBOLIC):
         for m in FOCK_LEVELS:
@@ -344,24 +352,23 @@ def _count_calls(monkeypatch, owner, name) -> list:
 
 
 def test_gram_builds_no_weighted_product(monkeypatch):
-    """Every Gram entry is one pairing, so no F (e_i star e_j) is built, and
-    the ground state's chain check pairs under the product envelope, so no
-    squared state is built; the direct functional still builds both."""
-    level1, ground = fock_wigner(1, H), fock_wigner(0, H)
+    """Every entry of the Gram matrix and of the functional is one pairing,
+    so on level 1 (no chain check) no GaussPoly product F (g* star g) is
+    built by either."""
+    level1 = fock_wigner(1, H)
     products = _count_calls(monkeypatch, GaussPoly, "__mul__")
-    squares = _count_calls(monkeypatch, GaussPoly, "mul_gauss")
     _gram(level1, ELLIPTIC, H)
+    positivity_functional(level1, PhasePoly.q() + PhasePoly.p().scale(J_UNIT[ELLIPTIC]), ELLIPTIC, H)
+    positivity_functional(level1, PhasePoly.p() + PhasePoly.q().scale(J_SPLIT), HYPERBOLIC, H)
     assert products == []
-    _gram(ground, ELLIPTIC, H)
-    assert squares == []
-    positivity_functional(ground, PhasePoly.q(), ELLIPTIC, H)
-    assert products and squares
 
 
 def test_gram_chain_equality_can_fail():
     # the ground state of hbar = 2 is not star-idempotent at hbar = 3
     with pytest.raises(AssertionError, match="chain equality"):
         _gram(fock_wigner(0, H), ELLIPTIC, Fraction(3))
+    with pytest.raises(AssertionError, match="chain equality failed"):
+        positivity_functional(fock_wigner(0, H), PhasePoly.q(), ELLIPTIC, Fraction(3))
 
 
 def test_gram_rejects_unnormalized_state():
