@@ -3,11 +3,13 @@
 A coherent state is expanded in a truncated oscillator basis by
 Gauss-Hermite quadrature, cross-checked against the closed-form Poisson
 weights.  Over a Gauss-Legendre product grid in (q, p) the expansions form
-one coefficient tensor C[n, iq, ip], built from a single Gauss-Hermite rule
-and a single q-independent phase table, and the quantization integral is
-one contraction of that tensor against f on the grid.  Only the first N/2
-levels of the resulting matrices are trusted; truncation error
-concentrates in the top half.
+one coefficient tensor C[n, iq, ip], built level by level from a single
+Gauss-Hermite rule and a single q-independent phase table, and the
+quantization integral is one contraction of that tensor against f on the
+grid.  The grid keeps conj(C) alone per (hbar, N), and the contraction runs
+a few output rows at a time, so memory peaks at one tensor plus one block
+of rows.  Only the first N/2 levels of the resulting matrices are trusted;
+truncation error concentrates in the top half.
 """
 
 from __future__ import annotations
@@ -32,22 +34,26 @@ class CoherentState:
     coeffs: np.ndarray  # complex, length N
 
 
-def _reduced_hermite_rows(x: np.ndarray, n_levels: int, hbar: float) -> np.ndarray:
-    """Oscillator eigenfunctions with the Gaussian envelope stripped.
+def _hermite_levels(x: np.ndarray, n_levels: int, hbar: float):
+    """Oscillator eigenfunctions with the Gaussian envelope stripped, one level
+    at a time.
 
-    Row n is psi_n(x) * exp(+x^2 / 2 hbar) over an array x of any shape; the
-    recurrence is the standard one, the envelope cancels against quadrature
-    weights downstream.
+    Level n is psi_n(x) * exp(+x^2 / 2 hbar) over an array x of any shape,
+    from the standard three-term recurrence, so only two levels are held at
+    once; the envelope cancels against quadrature weights downstream.
     """
-    rows = np.empty((n_levels, *x.shape), dtype=float)
-    rows[0] = (pi * hbar) ** -0.25
-    if n_levels > 1:
-        rows[1] = sqrt(2.0) * (x / sqrt(hbar)) * rows[0]
-    for n in range(1, n_levels - 1):
-        rows[n + 1] = (
-            sqrt(2.0) * (x / sqrt(hbar)) * rows[n] - sqrt(n) * rows[n - 1]
-        ) / sqrt(n + 1)
-    return rows
+    y = sqrt(2.0) * (x / sqrt(hbar))
+    # level -1 is 0, so the step to level 1 is exactly y times level 0
+    prev, cur = 0.0, np.full(x.shape, (pi * hbar) ** -0.25)
+    for n in range(1, n_levels):
+        yield cur
+        prev, cur = cur, (y * cur - sqrt(n - 1) * prev) / sqrt(n)
+    yield cur
+
+
+def _reduced_hermite_rows(x: np.ndarray, n_levels: int, hbar: float) -> np.ndarray:
+    """The first n_levels of ``_hermite_levels`` stacked along a new axis 0."""
+    return np.stack(list(_hermite_levels(x, n_levels, hbar)))
 
 
 def _coeff_tensor(qs: np.ndarray, ps: np.ndarray, hbar: float, N: int, nodes: int) -> np.ndarray:
@@ -58,15 +64,20 @@ def _coeff_tensor(qs: np.ndarray, ps: np.ndarray, hbar: float, N: int, nodes: in
     -x^2/2h - (x-q)^2/2h = -(x - q/2)^2/h - q^2/4h, so x = q/2 + t sqrt(h/2)
     and the hermegauss weights carry e^{-t^2/2}.  The q/2 part of the plane
     wave cancels e^{-ipq/2h} exactly, which leaves the phase table
-    E = e^{ipt sqrt(h/2)/h} independent of q: the whole tensor is the one
-    matrix product (psi w) E^T, scaled by amp(q).
+    E = e^{ipt sqrt(h/2)/h} independent of q: level n of the tensor is the
+    one matrix product (psi_n w) E^T, scaled by amp(q), written into C
+    level by level, so the build holds C and one level's temporaries.
     """
     t, w = np.polynomial.hermite_e.hermegauss(nodes)
     s = sqrt(hbar / 2.0)
-    psi = _reduced_hermite_rows(qs[:, np.newaxis] / 2.0 + t * s, N, hbar)  # (N, nq, nodes)
     E = np.exp(1j * (s / hbar) * np.outer(ps, t))  # (np, nodes)
     amp = (pi * hbar) ** -0.25 * s * np.exp(-qs * qs / (4.0 * hbar))
-    return ((psi * w) @ E.T) * amp[:, np.newaxis]
+    C = np.empty((N, len(qs), len(ps)), dtype=complex)
+    levels = _hermite_levels(qs[:, np.newaxis] / 2.0 + t * s, N, hbar)  # each (nq, nodes)
+    for level, psi in zip(C, levels):
+        np.matmul(psi * w, E.T, out=level)
+        level *= amp[:, np.newaxis]
+    return C
 
 
 def coherent_coeffs(p: float, q: float, hbar: float, N: int, nodes: int = 0) -> CoherentState:
@@ -118,8 +129,9 @@ class QuadratureGrid:
     qs: np.ndarray
     ps: np.ndarray
     weights: np.ndarray  # outer product, shape (len(qs), len(ps))
-    # (hbar, N) -> (C, conj(C), einsum path) of berezin_quantize, filled by
-    # the first quantization with that key and shared by every later one
+    # (hbar, N) -> conj(C), the one tensor berezin_quantize contracts against,
+    # filled in place by the first quantization with that key and shared by
+    # every later one
     plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
@@ -137,7 +149,9 @@ def build_grid(hbar: float, N: int, max_poly_degree: int) -> QuadratureGrid:
     return QuadratureGrid(R, max_poly_degree, xs, xs.copy(), np.outer(ws, ws))
 
 
-_CONTRACTION = "mij,ij,nij->mn"
+# Output rows per gemm of the contraction.  Every gemm keeps the whole grid
+# as its inner dimension, so the sums run in the order of one N-row gemm.
+_LEVELS = 4
 
 
 def berezin_quantize(f: PhasePoly, hbar: float, N: int, grid: QuadratureGrid) -> np.ndarray:
@@ -146,9 +160,13 @@ def berezin_quantize(f: PhasePoly, hbar: float, N: int, grid: QuadratureGrid) ->
     One coefficient tensor C[n, iq, ip] holds the coherent states of the
     whole grid (one Gauss-Hermite rule, one phase table), and f is taken on
     the grid term by term; the N x N output is Hermitian for real f up to
-    quadrature noise.  The tensor, its conjugate and the contraction order
-    depend on (hbar, N) and the grid only, so they are built once per key
-    in ``grid.plans``.
+    quadrature noise.  The plan of a key (hbar, N) is conj(C) alone, built
+    once per key in ``grid.plans`` and conjugated in place.  Entry (m, n)
+    is sum_ij kern_ij C_mij conj(C)_nij, taken _LEVELS output rows at a time:
+    the block kern C = conj(conj(kern) conj(C)) (sign flips only) times
+    conj(C) flattened over the grid, so a quantization holds the plan and
+    one block.  Coefficients must have a complex value: a split-complex or
+    dual coefficient raises ValueError.
     """
     if f.dof != 1:
         raise ValueError("quantization is implemented for one degree of freedom")
@@ -159,16 +177,24 @@ def berezin_quantize(f: PhasePoly, hbar: float, N: int, grid: QuadratureGrid) ->
     # f on the grid, with q along axis 0
     fv = np.zeros((len(grid.qs), len(grid.ps)), dtype=complex)
     for (a, b), c in f.terms.items():
-        fv += complex(c.real, c.imag) * np.outer(grid.qs**a, grid.ps**b)
-    kern = grid.weights * fv / (2.0 * pi * hbar)
-    plan = grid.plans.get((hbar, N))
-    if plan is None:
-        C = _coeff_tensor(grid.qs, grid.ps, hbar, N, 4 * N + 40)
-        conj = np.conj(C)
-        path = np.einsum_path(_CONTRACTION, C, kern, conj, optimize=True)[0]
-        plan = grid.plans[hbar, N] = (C, conj, path)
-    C, conj, path = plan
-    return np.einsum(_CONTRACTION, C, kern, conj, optimize=path)
+        fv += complex(c) * np.outer(grid.qs**a, grid.ps**b)
+    conj_kern = np.conjugate(grid.weights * fv / (2.0 * pi * hbar))
+    conj_c = grid.plans.get((hbar, N))
+    if conj_c is None:
+        conj_c = _coeff_tensor(grid.qs, grid.ps, hbar, N, 4 * N + 40)
+        grid.plans[hbar, N] = np.conjugate(conj_c, out=conj_c)
+    flat = conj_c.reshape(N, -1)
+    out = np.empty((N, N), dtype=complex)
+    block = np.empty((min(N, _LEVELS + 1), *conj_kern.shape), dtype=complex)
+    # the last block takes 2 to _LEVELS + 1 rows: numpy runs a 1-row product
+    # as a gemv, whose sums run in another order
+    stops = [*range(0, N - 1, _LEVELS), N]
+    for m, stop in zip(stops, stops[1:]):
+        kc = block[: stop - m]
+        np.multiply(conj_kern, conj_c[m:stop], out=kc)
+        np.conjugate(kc, out=kc)
+        np.matmul(kc.reshape(stop - m, -1), flat.T, out=out[m:stop])
+    return out
 
 
 def trusted(m: np.ndarray) -> np.ndarray:

@@ -191,13 +191,17 @@ class PhasePoly:
         return max(map(sum, self.nums), default=0)
 
     def eval_float(self, coords) -> complex:
-        """Numeric evaluation at real coordinates (floats)."""
+        """Numeric evaluation at real coordinates (floats).
+
+        Coefficients must have a complex value: a split-complex or dual
+        coefficient raises ValueError.
+        """
         total = 0j
         for e, c in self.terms.items():
             m = 1.0
             for x, k in zip(coords, e):
                 m *= x**k
-            total += complex(c.real, c.imag) * m
+            total += complex(c) * m
         return total
 
     def canonical_str(self) -> str:

@@ -9,12 +9,14 @@ inequality, and the minimizer non-uniqueness witness.
 The three J-scalar classes speak Python's number protocol (PEP 3141): like
 ``int``, ``Fraction``, ``float`` and ``complex``, each answers ``real``,
 ``imag`` and ``conjugate()``, so every exact coefficient is read the same
-way and no caller dispatches on its type.  Inside, a J-scalar is one
-canonical integer triple (den, re, im) for (re + J im) / den, with den > 0
-and gcd(den, re, im) = 1: arithmetic stays on the integers, with one gcd
-per result, and the para-geometry reads the numerators directly, as the
-polynomial kernel does when it takes a J-valued coefficient apart into an
-integer J-scalar numerator and a denominator (``phasepoly._split``).
+way and no caller dispatches on its type.  ``complex(z)`` is the float
+value of a complex-rational z; a split-complex or dual z has none and
+raises ValueError.  Inside, a J-scalar is one canonical integer triple
+(den, re, im) for (re + J im) / den, with den > 0 and gcd(den, re, im) = 1:
+arithmetic stays on the integers, with one gcd per result, and the
+para-geometry reads the numerators directly, as the polynomial kernel does
+when it takes a J-valued coefficient apart into an integer J-scalar
+numerator and a denominator (``phasepoly._split``).
 """
 
 from __future__ import annotations
@@ -167,6 +169,14 @@ class _Pair:
 
     def conjugate(self):
         return _make(type(self), self._den, self._re, -self._im)
+
+    def __complex__(self):
+        # only J*J = -1 puts (re + J im) in the complex numbers; reading a
+        # split-complex j or a dual eps as i would quantize a different ring
+        if self._unit_sq != -1:
+            raise ValueError(f"{type(self).__name__} {self!r} has no complex value "
+                             f"(J*J = {self._unit_sq})")
+        return complex(self.real, self.imag)
 
     def __repr__(self):
         return f"({self.real}{'+' if self._im >= 0 else ''}{self.imag}{self._symbol})"

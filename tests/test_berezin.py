@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import pi, sqrt
 
@@ -19,6 +20,7 @@ from compalg.berezin import (
 from compalg.errors import DegreeExceedsGrid, QuadratureDivergence
 from compalg.hilbert import cstar_check, op_alpha
 from compalg.phasepoly import PhasePoly
+from compalg.scalars import EPS_DUAL, I_COMPLEX, J_SPLIT, ComplexRational
 
 Q = PhasePoly.q()
 P = PhasePoly.p()
@@ -238,3 +240,55 @@ def test_memoized_quantization_is_bit_identical_per_key():
                 got = berezin_quantize(f, hbar, N, grid)
                 assert np.array_equal(got, _unmemoized_quantize(f, hbar, N, grid))
     assert sorted(grid.plans) == sorted(keys)
+
+
+@pytest.mark.parametrize("N", [12, 13, 14, 15])  # each remainder mod 4 of the row blocks
+def test_blocked_contraction_is_bit_identical_for_every_last_block(N):
+    grid = build_grid(1.0, N, 2)
+    for f in (Q, Q * Q + P * P):
+        got = berezin_quantize(f, 1.0, N, grid)
+        assert got.tobytes() == _unmemoized_quantize(f, 1.0, N, grid).tobytes()
+
+
+def test_quantization_holds_one_tensor_plus_one_block():
+    grid = build_grid(1.0, 16, 4)
+    plan = np.conj(_coeff_tensor(grid.qs, grid.ps, 1.0, 16, 4 * 16 + 40))
+    tracemalloc.start()
+    try:
+        for f in (ONE, Q, Q * Q + P * P):  # the first one builds the plan
+            berezin_quantize(f, 1.0, 16, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * plan.nbytes
+    # the plan is conj(C) alone, bit for bit
+    (got,) = grid.plans.values()
+    assert isinstance(got, np.ndarray) and got.shape == plan.shape
+    assert got.tobytes() == plan.tobytes()
+
+
+def test_split_complex_coefficient_has_no_complex_value():
+    f = Q.scale(J_SPLIT)
+    with pytest.raises(ValueError, match="SplitComplex"):
+        f.eval_float((1.0, 0.0))
+    with pytest.raises(ValueError, match="SplitComplex"):
+        berezin_quantize(f, 1.0, 12, build_grid(1.0, 12, 2))
+
+
+def test_dual_coefficient_has_no_complex_value():
+    f = Q.scale(EPS_DUAL)
+    with pytest.raises(ValueError, match="DualNumber"):
+        f.eval_float((1.0, 0.0))
+    with pytest.raises(ValueError, match="DualNumber"):
+        berezin_quantize(f, 1.0, 12, build_grid(1.0, 12, 2))
+
+
+def test_complex_coefficient_is_read_as_i():
+    assert complex(I_COMPLEX) == 1j
+    assert complex(ComplexRational(Fraction(1, 3), -2)) == complex(1 / 3, -2.0)
+    f = Q.scale(I_COMPLEX)
+    assert f.eval_float((1.0, 0.0)) == 1j
+    grid = build_grid(1.0, 12, 2)
+    got = berezin_quantize(f, 1.0, 12, grid)
+    ref = 1j * berezin_quantize(Q, 1.0, 12, grid)
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
