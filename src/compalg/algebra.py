@@ -14,9 +14,10 @@ gives them as values.  A composite element is that pair itself, in the
 form a phase-space polynomial stores (FLINT's fmpq_poly): den > 0 coprime
 to the numerators and zero entries dropped, keys (left key, right key)
 nested as the composition is, brought there by the one canonicalizer
-``phasepoly._lowest``.  Sums, scalings, products and pure tensors stay on
-integers, so equal values are equal pairs; only ``decompose`` builds
-Fractions, one per coefficient.  A value that is not rational (a float
+``phasepoly._lowest`` and summed and scaled by the polynomials' own
+``phasepoly._add`` and ``phasepoly._scale``.  Sums, scalings, products and
+pure tensors stay on integers, so equal values are equal pairs; only
+``decompose`` builds Fractions, one per coefficient.  A value that is not rational (a float
 carrier's complex entry) is its own numerator over 1 and leaves den 1.
 Products expand factor basis pairs through the factor carrier's memo
 table, filled from the factor's pairs.
@@ -38,7 +39,7 @@ from typing import Any, Callable, Optional
 
 from . import phasepoly as pp
 from .errors import ClassMismatch, HBarMismatch, UnexpectedPass
-from .phasepoly import PhasePoly, _lowest, _ratio, _split
+from .phasepoly import PhasePoly, _add, _lowest, _ratio, _scale, _split
 
 # identity name -> number of sampled arguments; check_all_identities seeds
 # identity k with seed + k, so this order fixes every report
@@ -275,22 +276,6 @@ def _expander(c: Carrier) -> Callable:
         return e
 
     return expand
-
-
-def _add(x: tuple, y: tuple) -> tuple:
-    (dx, nx), (dy, ny) = x, y
-    den = lcm(dx, dy)
-    mx, my = den // dx, den // dy
-    out = {k: n * mx for k, n in nx.items()}
-    for k, n in ny.items():
-        out[k] = out.get(k, 0) + n * my
-    return _lowest(den, out)
-
-
-def _scale(x: tuple, s) -> tuple:
-    ns, ds = _split(s)
-    den, nums = x
-    return _lowest(den * ds, {k: n * ns for k, n in nums.items()})
 
 
 def _product(law: list, left: Callable, right: Callable) -> Callable:

@@ -1,15 +1,15 @@
 """Coherent-state (Berezin) quantization on the plane by quadrature.
 
-A coherent state is expanded in a truncated oscillator basis by
-Gauss-Hermite quadrature, cross-checked against the closed-form Poisson
-weights.  Over a Gauss-Legendre product grid in (q, p) the expansions form
-one coefficient tensor C[n, iq, ip], built level by level from a single
-Gauss-Hermite rule and a single q-independent phase table, and the
-quantization integral is one contraction of that tensor against f on the
-grid.  The grid keeps conj(C) alone per (hbar, N), and the contraction runs
-a few output rows at a time, so memory peaks at one tensor plus one block
-of rows.  Only the first N/2 levels of the resulting matrices are trusted;
-truncation error concentrates in the top half.
+Over a Gauss-Legendre product grid in (q, p) the coherent states' expansions
+in a truncated oscillator basis form one coefficient tensor C[n, iq, ip],
+built level by level from a single Gauss-Hermite rule and a single
+q-independent phase table, and the quantization integral is one contraction
+of that tensor against f on the grid.  The tests check C at every grid
+point against the closed-form Poisson weights.  The grid keeps conj(C)
+alone per (hbar, N), and the contraction runs a few output rows at a time,
+so memory peaks at one tensor plus one block of rows.  Only the first N/2
+levels of the resulting matrices are trusted; truncation error
+concentrates in the top half.
 """
 
 from __future__ import annotations
@@ -19,19 +19,9 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .errors import DegreeExceedsGrid, QuadratureDivergence
+from .errors import DegreeExceedsGrid
 from .hilbert import hermitian_eigenvalues
 from .phasepoly import PhasePoly
-
-
-@dataclass(frozen=True)
-class CoherentState:
-    """Truncated oscillator-basis expansion of one coherent wavefunction."""
-
-    p: float
-    q: float
-    hbar: float
-    coeffs: np.ndarray  # complex, length N
 
 
 def _hermite_levels(x: np.ndarray, n_levels: int, hbar: float):
@@ -51,13 +41,9 @@ def _hermite_levels(x: np.ndarray, n_levels: int, hbar: float):
     yield cur
 
 
-def _reduced_hermite_rows(x: np.ndarray, n_levels: int, hbar: float) -> np.ndarray:
-    """The first n_levels of ``_hermite_levels`` stacked along a new axis 0."""
-    return np.stack(list(_hermite_levels(x, n_levels, hbar)))
-
-
-def _coeff_tensor(qs: np.ndarray, ps: np.ndarray, hbar: float, N: int, nodes: int) -> np.ndarray:
-    """C[n, iq, ip] = <n|state(ps[ip], qs[iq])> from one Gauss-Hermite rule.
+def _coeff_tensor(qs: np.ndarray, ps: np.ndarray, hbar: float, N: int) -> np.ndarray:
+    """C[n, iq, ip] = <n|state(ps[ip], qs[iq])> from one Gauss-Hermite rule of
+    4N + 40 nodes.
 
     The state is (pi hbar)^(-1/4) e^{-ipq/2h} e^{ipx/h} e^{-(x-q)^2/2h}.
     Against psi_n's envelope the Gaussians complete to one square:
@@ -68,7 +54,7 @@ def _coeff_tensor(qs: np.ndarray, ps: np.ndarray, hbar: float, N: int, nodes: in
     one matrix product (psi_n w) E^T, scaled by amp(q), written into C
     level by level, so the build holds C and one level's temporaries.
     """
-    t, w = np.polynomial.hermite_e.hermegauss(nodes)
+    t, w = np.polynomial.hermite_e.hermegauss(4 * N + 40)
     s = sqrt(hbar / 2.0)
     E = np.exp(1j * (s / hbar) * np.outer(ps, t))  # (np, nodes)
     amp = (pi * hbar) ** -0.25 * s * np.exp(-qs * qs / (4.0 * hbar))
@@ -80,42 +66,6 @@ def _coeff_tensor(qs: np.ndarray, ps: np.ndarray, hbar: float, N: int, nodes: in
     return C
 
 
-def coherent_coeffs(p: float, q: float, hbar: float, N: int, nodes: int = 0) -> CoherentState:
-    """Oscillator-basis coefficients <n|state> by Gauss-Hermite quadrature.
-
-    The 1 x 1 case of the quantization's coefficient tensor, checked
-    against the closed-form Poisson weights.  Node count defaults to 4N + 40.
-    """
-    if N < 4:
-        raise ValueError("N must be at least 4")
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
-    nodes = nodes or 4 * N + 40
-    if nodes < 2 * N:
-        raise QuadratureDivergence(f"{nodes} nodes cannot resolve {N} levels")
-    coeffs = _coeff_tensor(np.array([q], dtype=float), np.array([p], dtype=float), hbar, N, nodes)
-    state = CoherentState(p, q, hbar, coeffs[:, 0, 0])
-    _cross_check_poisson(state)
-    return state
-
-
-def poisson_weight_oracle(p: float, q: float, hbar: float, N: int) -> np.ndarray:
-    """Closed-form coefficients e^{-|a|^2/2} a^n / sqrt(n!), a = (q+ip)/sqrt(2h)."""
-    a = (q + 1j * p) / sqrt(2.0 * hbar)
-    out = np.empty(N, dtype=complex)
-    out[0] = np.exp(-abs(a) ** 2 / 2.0)
-    for n in range(1, N):
-        out[n] = out[n - 1] * a / sqrt(n)
-    return out
-
-
-def _cross_check_poisson(state: CoherentState, tol: float = 1e-9):
-    oracle = poisson_weight_oracle(state.p, state.q, state.hbar, len(state.coeffs))
-    err = float(np.max(np.abs(state.coeffs - oracle)))
-    if err > tol:
-        raise QuadratureDivergence(f"quadrature disagrees with closed form by {err}")
-
-
 # ---------------------------------------------------------------------------
 # Quantization by product quadrature
 # ---------------------------------------------------------------------------
@@ -124,7 +74,6 @@ def _cross_check_poisson(state: CoherentState, tol: float = 1e-9):
 class QuadratureGrid:
     """Gauss-Legendre product rule over [-R, R]^2 in (q, p)."""
 
-    R: float
     exact_degree: int
     qs: np.ndarray
     ps: np.ndarray
@@ -146,7 +95,7 @@ def build_grid(hbar: float, N: int, max_poly_degree: int) -> QuadratureGrid:
     t, w = np.polynomial.legendre.leggauss(6 * N + 20)
     xs = R * t
     ws = R * w
-    return QuadratureGrid(R, max_poly_degree, xs, xs.copy(), np.outer(ws, ws))
+    return QuadratureGrid(max_poly_degree, xs, xs.copy(), np.outer(ws, ws))
 
 
 # Output rows per gemm of the contraction.  Every gemm keeps the whole grid
@@ -181,7 +130,7 @@ def berezin_quantize(f: PhasePoly, hbar: float, N: int, grid: QuadratureGrid) ->
     conj_kern = np.conjugate(grid.weights * fv / (2.0 * pi * hbar))
     conj_c = grid.plans.get((hbar, N))
     if conj_c is None:
-        conj_c = _coeff_tensor(grid.qs, grid.ps, hbar, N, 4 * N + 40)
+        conj_c = _coeff_tensor(grid.qs, grid.ps, hbar, N)
         grid.plans[hbar, N] = np.conjugate(conj_c, out=conj_c)
     flat = conj_c.reshape(N, -1)
     out = np.empty((N, N), dtype=complex)
@@ -214,21 +163,25 @@ def positivity_preservation(qf: np.ndarray, tol: float = 1e-9) -> bool:
     return float(np.min(hermitian_eigenvalues(h))) >= -tol
 
 
-def ladder_position_oracle(hbar: float, N: int) -> np.ndarray:
-    """Position operator in the oscillator basis: <n|q|n+1> = sqrt(h (n+1)/2)."""
+def _ladder(hbar: float, N: int, up: complex, down: complex) -> np.ndarray:
+    """<n|.|n+1> = up sqrt(h (n+1)/2) and <n+1|.|n> = down sqrt(h (n+1)/2).
+
+    up and down are passed as they are, not one as the other's conjugate:
+    conj(-1j) * v is (-0.0 + v j), whose real zero has the other sign.
+    """
     m = np.zeros((N, N), dtype=complex)
     for n in range(N - 1):
         v = sqrt(hbar * (n + 1) / 2.0)
-        m[n, n + 1] = v
-        m[n + 1, n] = v
+        m[n, n + 1] = up * v
+        m[n + 1, n] = down * v
     return m
+
+
+def ladder_position_oracle(hbar: float, N: int) -> np.ndarray:
+    """Position operator in the oscillator basis: <n|q|n+1> = sqrt(h (n+1)/2)."""
+    return _ladder(hbar, N, 1, 1)
 
 
 def ladder_momentum_oracle(hbar: float, N: int) -> np.ndarray:
     """Momentum operator: <n|p|n+1> = -i sqrt(h (n+1)/2), Hermitian."""
-    m = np.zeros((N, N), dtype=complex)
-    for n in range(N - 1):
-        v = sqrt(hbar * (n + 1) / 2.0)
-        m[n, n + 1] = -1j * v
-        m[n + 1, n] = 1j * v
-    return m
+    return _ladder(hbar, N, -1j, 1j)

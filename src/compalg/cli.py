@@ -99,6 +99,8 @@ def _validate(cfg: SuiteConfig):
     # the berezin suite quantizes q and p, which needs N >= deg + 4
     if cfg.berezin_n < 5:
         raise ConfigError("berezin_n must be at least 5")
+    if not cfg.suites:
+        raise ConfigError("no suites to run")
     names = set(SUITES)
     for s in cfg.suites:
         if s != "all" and s not in names:

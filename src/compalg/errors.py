@@ -49,10 +49,6 @@ class ExhaustedWithoutWitness(CompalgError):
     """Exhaustive search over the declared lattice found no witness."""
 
 
-class QuadratureDivergence(CompalgError):
-    """Quadrature node count is insufficient for the requested accuracy."""
-
-
 class DegreeExceedsGrid(CompalgError):
     """Polynomial degree above what the quadrature grid integrates exactly."""
 

@@ -9,10 +9,11 @@ equal pairs.  A J-valued coefficient (a scalar from
 rule fixes every coefficient's ring whatever the order of summation: a
 coefficient is rational exactly when its J part is 0.  Sums, scalings,
 products and derivatives stay on the numerators with one gcd per result,
-in ``_lowest``, the canonicalizer that composite elements in
-:mod:`compalg.algebra` share; ``terms`` builds the Fractions and
-J-scalars on demand for the readers at the boundary, and each of them
-answers ``real``, ``imag`` and ``conjugate()``.
+in ``_lowest``.  That canonicalizer, the pair sum ``_add`` and the pair
+scaling ``_scale`` are shared with the composite elements of
+:mod:`compalg.algebra`.  ``terms`` builds the Fractions and J-scalars on
+demand for the readers at the boundary, and each of them answers
+``real``, ``imag`` and ``conjugate()``.
 
 The bidifferential f (<->nabla)^k g of two monomials is an integer times a
 monomial that depends on neither the class nor hbar (Groenewold, Physica
@@ -72,13 +73,17 @@ class PhasePoly:
 
     @classmethod
     def _canonical(cls, dof: int, den: int, nums: dict) -> "PhasePoly":
-        """nums / den as a polynomial, brought to the canonical pair by ``_lowest``.
+        """nums / den as a polynomial, brought to the canonical pair by ``_lowest``."""
+        return cls._of(dof, *_lowest(den, nums))
+
+    @classmethod
+    def _of(cls, dof: int, den: int, nums: dict) -> "PhasePoly":
+        """The polynomial of a canonical pair.
 
         The keys are exponent tuples of length 2*dof that the package built,
         so the checks of __init__ are skipped.
         """
         poly = object.__new__(cls)
-        den, nums = _lowest(den, nums)
         object.__setattr__(poly, "dof", dof)
         object.__setattr__(poly, "den", den)
         object.__setattr__(poly, "nums", nums)
@@ -128,12 +133,7 @@ class PhasePoly:
             return self
         if not self.nums:
             return other
-        den = lcm(self.den, other.den)
-        m1, m2 = den // self.den, den // other.den
-        t = {e: n * m1 for e, n in self.nums.items()}
-        for e, n in other.nums.items():
-            t[e] = t.get(e, 0) + n * m2
-        return PhasePoly._canonical(self.dof, den, t)
+        return PhasePoly._of(self.dof, *_add((self.den, self.nums), (other.den, other.nums)))
 
     def __sub__(self, other):
         return self + (-other)
@@ -151,10 +151,7 @@ class PhasePoly:
         return self.scale(other)
 
     def scale(self, s) -> "PhasePoly":
-        ns, ds = _split(s)
-        if ns == 1 and ds == 1:
-            return self
-        return PhasePoly._canonical(self.dof, self.den * ds, {e: n * ns for e, n in self.nums.items()})
+        return PhasePoly._of(self.dof, *_scale((self.den, self.nums), s))
 
     def __eq__(self, other):
         if not isinstance(other, PhasePoly):
@@ -279,6 +276,24 @@ def _lowest(den: int, nums: dict) -> tuple:
     if g == 1:
         return den, nums
     return den // g, {k: n // g if isinstance(n, int) else n / g for k, n in nums.items()}
+
+
+def _add(x: tuple, y: tuple) -> tuple:
+    """The canonical pair of the sum of the pairs x and y, over lcm of their dens."""
+    (dx, nx), (dy, ny) = x, y
+    den = lcm(dx, dy)
+    mx, my = den // dx, den // dy
+    out = {k: n * mx for k, n in nx.items()}
+    for k, n in ny.items():
+        out[k] = out.get(k, 0) + n * my
+    return _lowest(den, out)
+
+
+def _scale(x: tuple, s) -> tuple:
+    """The canonical pair of s times the pair x; s is split by ``_split``."""
+    ns, ds = _split(s)
+    den, nums = x
+    return _lowest(den * ds, {k: n * ns for k, n in nums.items()})
 
 
 def _ratio(n, d):

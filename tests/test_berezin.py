@@ -7,17 +7,15 @@ import pytest
 
 from compalg.berezin import (
     _coeff_tensor,
-    _reduced_hermite_rows,
+    _hermite_levels,
     berezin_quantize,
     build_grid,
-    coherent_coeffs,
     ladder_momentum_oracle,
     ladder_position_oracle,
-    poisson_weight_oracle,
     positivity_preservation,
     trusted,
 )
-from compalg.errors import DegreeExceedsGrid, QuadratureDivergence
+from compalg.errors import DegreeExceedsGrid
 from compalg.hilbert import cstar_check, op_alpha
 from compalg.phasepoly import PhasePoly
 from compalg.scalars import EPS_DUAL, I_COMPLEX, J_SPLIT, ComplexRational
@@ -27,27 +25,65 @@ P = PhasePoly.p()
 ONE = PhasePoly.const(1, 1)
 
 
+def poisson_weight_oracle(p, q, hbar, N):
+    """Closed-form coefficients e^{-|a|^2/2} a^n / sqrt(n!), a = (q+ip)/sqrt(2h)."""
+    a = (q + 1j * p) / sqrt(2.0 * hbar)
+    out = np.empty(N, dtype=complex)
+    out[0] = np.exp(-abs(a) ** 2 / 2.0)
+    for n in range(1, N):
+        out[n] = out[n - 1] * a / sqrt(n)
+    return out
+
+
+def _coherent_coeffs(p, q, hbar, N):
+    """<n|state(p, q)>: the 1 x 1 coefficient tensor at one phase-space point."""
+    return _coeff_tensor(np.array([q]), np.array([p]), hbar, N)[:, 0, 0]
+
+
 def test_coherent_coeffs_match_closed_form():
-    st = coherent_coeffs(0.7, -1.3, 1.0, 12)
-    oracle = poisson_weight_oracle(0.7, -1.3, 1.0, 12)
-    assert np.max(np.abs(st.coeffs - oracle)) < 1e-12
+    # a point off every quadrature grid
+    got = _coherent_coeffs(0.7, -1.3, 1.0, 12)
+    assert np.max(np.abs(got - poisson_weight_oracle(0.7, -1.3, 1.0, 12))) < 1e-12
 
 
 def test_vacuum_state_coefficients():
-    st = coherent_coeffs(0.0, 0.0, 1.0, 8)
-    assert st.coeffs[0] == pytest.approx(1.0)
-    assert np.max(np.abs(st.coeffs[1:])) < 1e-13
-
-
-def test_quadrature_divergence_on_too_few_nodes():
-    with pytest.raises(QuadratureDivergence):
-        coherent_coeffs(0.0, 0.0, 1.0, 16, nodes=8)
+    got = _coherent_coeffs(0.0, 0.0, 1.0, 8)
+    assert got[0] == pytest.approx(1.0)
+    assert np.max(np.abs(got[1:])) < 1e-13
 
 
 def test_quantize_unit_is_identity():
     grid = build_grid(1.0, 12, 2)
     m = trusted(berezin_quantize(ONE, 1.0, 12, grid))
     assert np.max(np.abs(m - np.eye(6))) < 1e-8
+
+
+def _reference_ladder_position(hbar, N):
+    m = np.zeros((N, N), dtype=complex)
+    for n in range(N - 1):
+        v = sqrt(hbar * (n + 1) / 2.0)
+        m[n, n + 1] = v
+        m[n + 1, n] = v
+    return m
+
+
+def _reference_ladder_momentum(hbar, N):
+    m = np.zeros((N, N), dtype=complex)
+    for n in range(N - 1):
+        v = sqrt(hbar * (n + 1) / 2.0)
+        m[n, n + 1] = -1j * v
+        m[n + 1, n] = 1j * v
+    return m
+
+
+@pytest.mark.parametrize("hbar", [0.5, 1.0])
+@pytest.mark.parametrize("N", [5, 16])
+def test_ladder_oracles_keep_their_bytes(hbar, N):
+    # the two loops the oracles were written as, one per operator; the
+    # momentum matrix's zero real parts are +0.0, which .tobytes() tells
+    # from -0.0
+    assert ladder_position_oracle(hbar, N).tobytes() == _reference_ladder_position(hbar, N).tobytes()
+    assert ladder_momentum_oracle(hbar, N).tobytes() == _reference_ladder_momentum(hbar, N).tobytes()
 
 
 def test_quantize_position_momentum_ladder_oracles():
@@ -134,7 +170,7 @@ def _reference_coeff_block(qv, ps, hbar, N):
     nodes = 4 * N + 40
     t, w = np.polynomial.hermite_e.hermegauss(nodes)
     x = qv / 2.0 + t * sqrt(hbar / 2.0)
-    psi = _reduced_hermite_rows(x, N, hbar)  # (N, nodes)
+    psi = np.stack(list(_hermite_levels(x, N, hbar)))  # (N, nodes)
     phase = np.exp(1j * np.outer(ps, x) / hbar)  # (np, nodes)
     pref = (
         (pi * hbar) ** -0.25
@@ -186,7 +222,7 @@ def test_coefficient_tensor_matches_per_node_reference(hbar, N, degree):
 def test_coefficient_tensor_matches_poisson_weights_on_the_grid(hbar):
     N = 16
     grid = build_grid(hbar, N, 4)
-    C = _coeff_tensor(grid.qs, grid.ps, hbar, N, 4 * N + 40)
+    C = _coeff_tensor(grid.qs, grid.ps, hbar, N)
     err = max(
         float(np.max(np.abs(C[:, iq, ip] - poisson_weight_oracle(pv, qv, hbar, N))))
         for iq, qv in enumerate(grid.qs)
@@ -226,7 +262,7 @@ def _unmemoized_quantize(f, hbar, N, grid):
     fv = np.zeros((len(grid.qs), len(grid.ps)), dtype=complex)
     for (a, b), c in f.terms.items():
         fv += complex(c.real, c.imag) * np.outer(grid.qs**a, grid.ps**b)
-    C = _coeff_tensor(grid.qs, grid.ps, hbar, N, 4 * N + 40)
+    C = _coeff_tensor(grid.qs, grid.ps, hbar, N)
     kern = grid.weights * fv / (2.0 * pi * hbar)
     return np.einsum("mij,ij,nij->mn", C, kern, np.conj(C), optimize=True)
 
@@ -252,7 +288,7 @@ def test_blocked_contraction_is_bit_identical_for_every_last_block(N):
 
 def test_quantization_holds_one_tensor_plus_one_block():
     grid = build_grid(1.0, 16, 4)
-    plan = np.conj(_coeff_tensor(grid.qs, grid.ps, 1.0, 16, 4 * 16 + 40))
+    plan = np.conj(_coeff_tensor(grid.qs, grid.ps, 1.0, 16))
     tracemalloc.start()
     try:
         for f in (ONE, Q, Q * Q + P * P):  # the first one builds the plan

@@ -325,6 +325,15 @@ def test_non_positive_hbar_is_a_config_error(tmp_path, capsys, hbar):
     assert err == "error: hbar must be positive\n"
 
 
+def test_empty_suite_list_is_a_config_error(tmp_path, capsys):
+    # a config that selects no suite would run nothing and still pass
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("suites = ,\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: no suites to run\n"
+
+
 @pytest.mark.parametrize("n", [1, 4])
 def test_too_small_berezin_n_is_a_config_error(tmp_path, capsys, n):
     # the berezin suite quantizes q and p, which needs N >= deg + 4 = 5

@@ -1,6 +1,7 @@
 """Rules on the package source: one eigensolver path, sympy only in tests,
 no ``assert`` statements, which ``python -O`` strips, one home for the
-integer-numerator helpers, and no public def that nothing reaches."""
+integer-numerator helpers, no def that nothing reaches, and no error type
+that nothing raises."""
 
 import ast
 import re
@@ -45,7 +46,7 @@ def test_package_checks_survive_python_O():
     assert found == {}
 
 
-RATIONAL_HELPERS = ("_lowest", "_over_lcm", "_ratio", "_split")
+RATIONAL_HELPERS = ("_add", "_lowest", "_over_lcm", "_ratio", "_scale", "_split")
 
 
 def _helper_defs(text):
@@ -64,6 +65,7 @@ def test_helper_rule_catches_a_second_definition():
     assert _helper_defs("class C:\n    def _split(self, v):\n        return v\n") == ["_split"]
     assert _helper_defs("_over_lcm = lambda d: d\n") == ["_over_lcm"]
     assert _helper_defs("def _lowest(den, nums):\n    return den, nums\n") == ["_lowest"]
+    assert _helper_defs("def _add(x, y):\n    return x\n\n\n_scale = None\n") == ["_add", "_scale"]
     assert not _helper_defs("from .phasepoly import _over_lcm, _ratio\nx = _ratio(1, 2)\n")
 
 
@@ -73,11 +75,11 @@ def test_rational_helpers_are_defined_only_in_phasepoly():
 
 
 # A public def that no suite, no other package code, no benchmark and no
-# acceptance criterion reaches serves no claim of the report.
+# acceptance criterion reaches serves no claim of the report; a private def
+# that no other package code reaches is test-only code in the package.
 REACHING = [*sorted((SRC.parents[1] / "perfbench").glob("*.py")),
             SRC.parents[1] / "tests" / "test_acceptance.py"]
 UNREACHED_BY_DESIGN = {
-    "berezin.coherent_coeffs": "the closed-form Poisson cross-check of the coherent states",
     "envariance.bell_state": "the maximally entangled state a Bell/CHSH suite starts from",
 }
 
@@ -99,13 +101,15 @@ def _names(node):
 
 
 def _unreferenced(package, outside):
-    """`module.name` of each public top-level def or class in `package`
-    (module name -> source) that no other top-level statement of the package
-    and none of the `outside` sources refers to."""
+    """`module.name` of each top-level def or class in `package` (module
+    name -> source) that no other top-level statement of the package refers
+    to and, for a public name, none of the `outside` sources either."""
     stmts = [(mod, s) for mod, text in package.items() for s in ast.parse(text).body]
-    uses = [(s, _names(s)) for _, s in stmts] + [(None, _names(ast.parse(t))) for t in outside]
+    uses = [(s, _names(s)) for _, s in stmts]
+    used_outside = set().union(*(_names(ast.parse(t)) for t in outside))
     return [f"{mod}.{s.name}" for mod, s in stmts
-            if isinstance(s, (ast.FunctionDef, ast.ClassDef)) and not s.name.startswith("_")
+            if isinstance(s, (ast.FunctionDef, ast.ClassDef))
+            and (s.name.startswith("_") or s.name not in used_outside)
             and not any(s.name in names for t, names in uses if t is not s)]
 
 
@@ -114,9 +118,47 @@ def test_reach_rule_flags_an_unreferenced_def():
                "n": "from .m import used\n\n\nclass Orphan:\n    pass\n"}
     assert _unreferenced(package, []) == ["m.unused", "n.Orphan"]
     assert _unreferenced(package, ["from compalg.n import Orphan\ngetattr(m, 'unused')\n"]) == []
+    # a private def counts as reached only from inside the package
+    private = {"m": "def _helper():\n    return 1\n\n\ndef _used():\n    return 2\n",
+               "n": "from .m import _used\n"}
+    assert _unreferenced(private, ["from compalg.m import _helper\n"]) == ["m._helper"]
 
 
 def test_every_public_def_is_reached():
     package = {f.stem: f.read_text() for f in sorted(SRC.glob("*.py"))}
     found = _unreferenced(package, [p.read_text() for p in REACHING])
     assert sorted(found) == sorted(UNREACHED_BY_DESIGN)
+
+
+def _raised(text):
+    """Names of the exception types that the `raise` statements in `text` raise."""
+    out = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                out.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                out.add(exc.attr)
+    return out
+
+
+def _unraised(errors, sources):
+    """Classes of the `errors` source, other than CompalgError, that no
+    `raise` in `sources` raises."""
+    raised = set().union(*map(_raised, sources))
+    return [s.name for s in ast.parse(errors).body
+            if isinstance(s, ast.ClassDef) and s.name != "CompalgError" and s.name not in raised]
+
+
+def test_error_rule_flags_an_unraised_type():
+    errors = ("class CompalgError(Exception):\n    pass\n\n\n"
+              "class Used(CompalgError):\n    pass\n\n\nclass Leftover(CompalgError):\n    pass\n")
+    caught = "try:\n    f()\nexcept Leftover:\n    raise Used('f failed')\n"
+    assert _unraised(errors, [caught]) == ["Leftover"]
+    assert _unraised(errors, [caught, "raise errors.Leftover from None\n"]) == []
+
+
+def test_every_error_type_is_raised():
+    sources = [f.read_text() for f in sorted(SRC.rglob("*.py"))]
+    assert _unraised((SRC / "errors.py").read_text(), sources) == []
