@@ -42,6 +42,11 @@ from .scalars import (
 SCHEMA_VERSION = 1
 
 
+# a per-invocation setting: how this run writes its report, left out of the
+# report's config echo
+_RUN_SETTING = {"echo": False}
+
+
 @dataclass
 class SuiteConfig:
     suites: list = field(default_factory=lambda: ["all"])
@@ -53,11 +58,20 @@ class SuiteConfig:
     berezin_n: int = 16
     identity_count: int = 25
     pair_count: int = 200
-    report: str = ""
-    format: str = "json"
-    record_timings: bool = False
+    report: str = field(default="", metadata=_RUN_SETTING)
+    format: str = field(default="json", metadata=_RUN_SETTING)
+    record_timings: bool = field(default=False, metadata=_RUN_SETTING)
 
 
+_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+# key -> parser of its value; a key not listed here takes an int
+_PARSERS = {
+    "suites": lambda val: [s.strip() for s in val.split(",") if s.strip()],
+    "hbar": lambda val: [Fraction(s.strip()) for s in val.split(",")],
+    "report": str,
+    "format": str,
+    "record_timings": lambda val: _FLAGS[val.lower()],
+}
 _CONFIG_KEYS = {f.name for f in fields(SuiteConfig)}
 
 
@@ -75,17 +89,8 @@ def parse_config(text: str) -> SuiteConfig:
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key == "suites":
-                cfg.suites = [s.strip() for s in val.split(",") if s.strip()]
-            elif key == "hbar":
-                cfg.hbar = [Fraction(s.strip()) for s in val.split(",")]
-            elif key in ("report", "format"):
-                setattr(cfg, key, val)
-            elif key == "record_timings":
-                cfg.record_timings = val.lower() in ("1", "true", "yes")
-            else:
-                setattr(cfg, key, int(val))
-        except (ValueError, ZeroDivisionError):
+            setattr(cfg, key, _PARSERS.get(key, int)(val))
+        except (ValueError, ZeroDivisionError, KeyError):  # KeyError: not a flag word
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {val!r}") from None
     _validate(cfg)
     return cfg
@@ -113,29 +118,19 @@ def _validate(cfg: SuiteConfig):
 
 
 def config_echo(cfg: SuiteConfig) -> dict:
-    return {
-        "suites": list(cfg.suites),
-        "seed": cfg.seed,
-        "hbar": [str(h) for h in cfg.hbar],
-        "degree_cap": cfg.degree_cap,
-        "dim_cap": cfg.dim_cap,
-        "ghost_bound": cfg.ghost_bound,
-        "berezin_n": cfg.berezin_n,
-        "identity_count": cfg.identity_count,
-        "pair_count": cfg.pair_count,
-    }
+    """Every config field but the per-invocation settings, as JSON values."""
+    echo = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.metadata.get("echo", True)}
+    echo.update(suites=list(cfg.suites), hbar=[str(h) for h in cfg.hbar])
+    return echo
 
 
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
 
-def _result(name, passed, samples, failures=None, max_residual=0.0, extra=None):
-    _, anchor, expected = SUITES[name]
+def _result(passed, samples, failures=None, max_residual=0.0, extra=None):
+    """A runner's outcome; `run` stamps the suite's name, anchor and expected verdict."""
     out = {
-        "name": name,
-        "anchor": anchor,
-        "expected": expected,
         "verdict": "pass" if passed else "fail",
         "samples": samples,
         "failures": failures or [],
@@ -146,7 +141,7 @@ def _result(name, passed, samples, failures=None, max_residual=0.0, extra=None):
     return out
 
 
-def _identity_table(name, carriers, cfg: SuiteConfig, seed: int, failures=(), samples=0):
+def _identity_table(carriers, cfg: SuiteConfig, seed: int, failures=(), samples=0):
     """The identity table on `carriers`, plus the `failures` of `samples` other checks."""
     failures = list(failures)
     total = samples
@@ -157,7 +152,7 @@ def _identity_table(name, carriers, cfg: SuiteConfig, seed: int, failures=(), sa
             worst = max(worst, rep.max_residual)
             if not rep.passed:
                 failures.append({"carrier": rep.carrier, "identity": rep.identity})
-    return _result(name, not failures, total, failures, worst)
+    return _result(not failures, total, failures, worst)
 
 
 def _suite_identities(cls):
@@ -166,7 +161,7 @@ def _suite_identities(cls):
             algebra.phase_poly_carrier(cls, h, dof, cfg.degree_cap)
             for h in cfg.hbar for dof in (1, 2)
         )
-        return _identity_table(f"identities-{cls}-phase", carriers, cfg, seed)
+        return _identity_table(carriers, cfg, seed)
 
     return run
 
@@ -179,7 +174,7 @@ def _suite_hilbert(cfg: SuiteConfig, seed: int):
         if not hilbert.cstar_check(t, 1e-10):
             cstar.append({"law": "cstar", "sample": i})
     carriers = (hilbert.matrix_carrier(dim) for dim in sorted({min(4, cfg.dim_cap), cfg.dim_cap}))
-    return _identity_table("identities-hilbert", carriers, cfg, seed, cstar, cfg.identity_count)
+    return _identity_table(carriers, cfg, seed, cstar, cfg.identity_count)
 
 
 def _suite_monoid(cfg: SuiteConfig, seed: int):
@@ -193,7 +188,7 @@ def _suite_monoid(cfg: SuiteConfig, seed: int):
         worst = max(worst, rep.max_residual)
         if not rep.passed:
             failures.extend(rep.failures)
-    return _result("composition-monoid", not failures, total, failures, worst)
+    return _result(not failures, total, failures, worst)
 
 
 def _suite_falsify_a(cfg: SuiteConfig, seed: int):
@@ -208,16 +203,13 @@ def _suite_falsify_a(cfg: SuiteConfig, seed: int):
     samples = sum(rep.samples for rep in reps)
     # the a = 0 sweep is the law that must hold exactly; the others fail by design
     residual = max(rep.max_residual for a, rep in zip(extras, reps) if not a)
-    return _result("falsify-nonzero-a", ok, samples, max_residual=residual, extra=witnesses)
+    return _result(ok, samples, max_residual=residual, extra=witnesses)
 
 
 def _suite_triviality(cfg: SuiteConfig, seed: int):
     c = algebra.phase_poly_carrier(ELLIPTIC, cfg.hbar[0], 1, 3)
     rep = algebra.single_product_triviality(c, count=cfg.identity_count, seed=seed)
-    return _result(
-        "single-product-triviality", rep.passed, rep.samples,
-        rep.failures, rep.max_residual,
-    )
+    return _result(rep.passed, rep.samples, rep.failures, rep.max_residual)
 
 
 def _suite_deformation(cfg: SuiteConfig, seed: int):
@@ -233,26 +225,23 @@ def _suite_deformation(cfg: SuiteConfig, seed: int):
         bad.append({"sample": "canonical"})
     if poisson(q, PhasePoly.p(2, 2)) != PhasePoly(2):
         bad.append({"sample": "canonical-cross"})
-    return _result("deformation-limit", not bad, cfg.pair_count + 2, bad)
+    return _result(not bad, cfg.pair_count + 2, bad)
 
 
 def _suite_ghost(cfg: SuiteConfig, seed: int):
     try:
         w = moyalpos.ghost_search(cfg.hbar[0], cfg.ghost_bound)
         extra = {"coeffs": list(w.coeffs), "value": str(w.value_real), "g": w.canonical}
-        return _result("ghost-hyperbolic", True, w.evaluated, extra=extra)
+        return _result(True, w.evaluated, extra=extra)
     except CompalgError as e:
-        return _result("ghost-hyperbolic", False, 0, [{"error": str(e)}])
+        return _result(False, 0, [{"error": str(e)}])
 
 
 def _suite_positivity(cfg: SuiteConfig, seed: int):
     levels = (0, 1)
     mn = moyalpos.elliptic_control_sweep(cfg.hbar[0], cfg.ghost_bound, levels)
-    ok = mn >= 0
-    return _result(
-        "positivity-elliptic", ok, len(levels) * (2 * cfg.ghost_bound + 1) ** 5,
-        extra={"min_value": str(mn)},
-    )
+    samples = len(levels) * (2 * cfg.ghost_bound + 1) ** 5
+    return _result(mn >= 0, samples, extra={"min_value": str(mn)})
 
 
 def _suite_split_geometry(cfg: SuiteConfig, seed: int):
@@ -277,7 +266,7 @@ def _suite_split_geometry(cfg: SuiteConfig, seed: int):
             if not holds:
                 bad.append({"sample": i, "law": law})
     return _result(
-        "split-complex-geometry", not bad, cfg.pair_count, bad,
+        not bad, cfg.pair_count, bad,
         extra={"cauchy_schwarz_admissible": admissible["cauchy-schwarz"],
                "triangle_admissible": admissible["triangle"]},
     )
@@ -291,9 +280,9 @@ def _suite_minimizer(cfg: SuiteConfig, seed: int):
             "segment": [str(w.segment[0]), str(w.segment[1])],
             "distance_square": str(w.distance_square(Fraction(0))),
         }
-        return _result("minimizer-no-go", True, checked, extra=extra)
+        return _result(True, checked, extra=extra)
     except AssertionError as e:
-        return _result("minimizer-no-go", False, 0, [{"error": str(e)}])
+        return _result(False, 0, [{"error": str(e)}])
 
 
 def _suite_kahler(cfg: SuiteConfig, seed: int):
@@ -316,7 +305,7 @@ def _suite_kahler(cfg: SuiteConfig, seed: int):
         samples += 1
         if not hilbert.normalization_constraint_check(tr, x, w):
             bad.append({"sample": i, "law": "normalization"})
-    return _result("kahler", not bad, samples, bad)
+    return _result(not bad, samples, bad)
 
 
 def _suite_berezin(cfg: SuiteConfig, seed: int):
@@ -340,7 +329,7 @@ def _suite_berezin(cfg: SuiteConfig, seed: int):
     if e4 > 1e-5:
         bad.append({"law": "correspondence", "err": e4})
     errs = (e1, e2, e3, e4)
-    return _result("berezin", not bad, len(errs), bad, max(errs))
+    return _result(not bad, len(errs), bad, max(errs))
 
 
 def _suite_quantions(cfg: SuiteConfig, seed: int):
@@ -364,10 +353,7 @@ def _suite_quantions(cfg: SuiteConfig, seed: int):
     for e in monomials:
         if not quantion.dalembertian_factorization(PhasePoly(2, {e: Fraction(1)})):
             bad.append({"law": "factorization", "monomial": list(e)})
-    return _result(
-        "quantions", not bad, 2 * cfg.pair_count + len(monomials), bad,
-        extra={"gamma_rep": rep.label},
-    )
+    return _result(not bad, 2 * cfg.pair_count + len(monomials), bad, extra={"gamma_rep": rep.label})
 
 
 def _suite_envariance(kind):
@@ -394,7 +380,7 @@ def _suite_envariance(kind):
                 ok = envariance.verify_transitivity(st, phases, xi, eta)
             if not ok:
                 bad.append({"sample": i})
-        return _result(f"envariance-{kind}", not bad, count, bad)
+        return _result(not bad, count, bad)
 
     return run
 
@@ -431,15 +417,16 @@ def run(cfg: SuiteConfig) -> dict:
     results = []
     verdicts = set()
     for name in names:
-        runner = SUITES[name][0]
+        runner, anchor, expected = SUITES[name]
         t0 = time.monotonic()
         try:
             res = runner(cfg, cfg.seed)
         except Exception as e:  # one raising suite must not abort the others
             traceback.print_exc(file=sys.stderr)
-            res = _result(name, False, 0, [{"error": f"{type(e).__name__}: {e}"}])
+            res = _result(False, 0, [{"error": f"{type(e).__name__}: {e}"}])
             res["verdict"] = "error"
         wall = time.monotonic() - t0
+        res.update(name=name, anchor=anchor, expected=expected)
         res["wall_ms"] = round(wall * 1000.0, 1) if cfg.record_timings else 0
         if cfg.record_timings:
             print(f"  {name}: {wall:.2f}s", file=sys.stderr)
@@ -476,6 +463,10 @@ def report_md(report: dict) -> str:
 
 def diff_reports(old: dict, new: dict) -> dict:
     """Structural diff; wall times ignored, version-only changes flagged."""
+    for rep in (old, new):
+        if not (isinstance(rep, dict) and isinstance(rep.get("suites"), list)
+                and all(isinstance(s, dict) and "name" in s for s in rep["suites"])):
+            raise SchemaMismatch("not a report: expected an object with a 'suites' list")
     if old.get("version") != new.get("version"):
         raise SchemaMismatch(f"{old.get('version')} vs {new.get('version')}")
 
@@ -503,11 +494,11 @@ def main(argv=None) -> int:
 
     v = sub.add_parser("verify", help="run verification suites")
     v.add_argument("--config", default=None)
-    v.add_argument("--suite", action="append", default=None)
+    v.add_argument("--suite", dest="suites", metavar="SUITE", action="append", default=None)
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--report", default=None)
     v.add_argument("--format", choices=("json", "md"), default=None)
-    v.add_argument("--timings", action="store_true")
+    v.add_argument("--timings", dest="record_timings", action="store_true", default=None)
 
     sub.add_parser("suites", help="list suites with anchors and expected verdicts")
 
@@ -536,16 +527,10 @@ def main(argv=None) -> int:
             with open(args.config) as f:
                 text = f.read()
         cfg = parse_config(text)
-        if args.suite:
-            cfg.suites = args.suite
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.report is not None:
-            cfg.report = args.report
-        if args.format is not None:
-            cfg.format = args.format
-        if args.timings:
-            cfg.record_timings = True
+        # a flag given on the command line overrides the config key it is stored under
+        for f in fields(cfg):
+            if (value := getattr(args, f.name, None)) is not None:
+                setattr(cfg, f.name, value)
         _validate(cfg)
         rep = run(cfg)
         out = report_json(rep) if cfg.format == "json" else report_md(rep)

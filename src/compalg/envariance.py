@@ -103,26 +103,22 @@ def system_unitary(sf: SchmidtForm, phases, d1: int) -> np.ndarray:
     return _phase_unitary(sf.left, np.asarray(phases, dtype=float), d1)
 
 
-def counter_unitary(
-    sf: SchmidtForm,
-    u_p: np.ndarray,
-    windings=None,
-    tol: float = 1e-10,
-) -> np.ndarray:
+def counter_unitary(sf: SchmidtForm, u_p: np.ndarray, windings=None) -> np.ndarray:
     """U_n = sum e^{-i(phi_k + 2 pi l_k)} |b_k><b_k| undoing a given U_p.
 
-    The supplied U_p must be diagonal in the computed Schmidt basis; the
-    phases are read off its diagonal there.  Winding numbers l_k shift
-    each phase by full turns and cannot change the counter-unitary.
+    The supplied U_p must be diagonal in the computed Schmidt basis, to
+    within 1e-10, with unimodular entries; the phases are read off its
+    diagonal there.  Winding numbers l_k shift each phase by full turns and
+    cannot change the counter-unitary.
     """
     r = sf.left.shape[1]
     d2 = sf.right.shape[0]
     inner = sf.left.conj().T @ u_p @ sf.left
     off = float(np.max(np.abs(inner - np.diag(np.diag(inner)))))
-    if off > tol:
+    if off > 1e-10:
         raise NotSchmidtDiagonal(f"off-diagonal weight {off}")
     diag = np.diag(inner)
-    if float(np.max(np.abs(np.abs(diag) - 1.0))) > tol:
+    if float(np.max(np.abs(np.abs(diag) - 1.0))) > 1e-10:
         raise NotSchmidtDiagonal("diagonal entries are not unimodular")
     phis = np.angle(diag)
     if windings is None:
@@ -208,14 +204,16 @@ def _fixing_unitary(vec: np.ndarray) -> np.ndarray:
     return proj + np.exp(0.7j) * (np.eye(d) - proj)
 
 
-def winding_independence(state: PureState, phases, tol: float = 0.0) -> bool:
-    """All winding choices give the identical counter-unitary (exact)."""
+def winding_independence(state: PureState, phases) -> bool:
+    """All winding choices give the same counter-unitary, to within 1e-12:
+    e^{-i(phi + 2 pi l)} rounds differently from e^{-i phi}, so the
+    comparison cannot be exact."""
     sf = schmidt(state)
     u_p = system_unitary(sf, phases, state.dims[0])
     base = counter_unitary(sf, u_p, None)
     for l in ([1] * sf.left.shape[1], [0, 2] + [1] * (sf.left.shape[1] - 2)):
         l = l[: sf.left.shape[1]]
         other = counter_unitary(sf, u_p, l)
-        if float(np.max(np.abs(base - other))) > max(tol, 1e-12):
+        if float(np.max(np.abs(base - other))) > 1e-12:
             return False
     return True

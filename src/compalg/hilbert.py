@@ -193,7 +193,7 @@ def sample_hermitian(rng: random.Random, dim: int) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def matrix_carrier(dim: int, hbar: Fraction = Fraction(2), tol: float = 1e-12) -> Carrier:
+def matrix_carrier(dim: int, hbar: Fraction = Fraction(2)) -> Carrier:
     hbar = Fraction(hbar)
     hf = float(hbar)
     keys = [(i, j) for i in range(dim) for j in range(dim)]
@@ -216,7 +216,7 @@ def matrix_carrier(dim: int, hbar: Fraction = Fraction(2), tol: float = 1e-12) -
         basis=lambda k: np.outer(eye[k[0]], eye[k[1]]),
         residual=lambda x: max(map(abs, x.ravel().tolist()), default=0.0),
         sample=lambda rng: sample_hermitian(rng, dim),
-        tol=tol,
+        tol=1e-12,
         jscale=lambda x, r: (-1j * float(r)) * x,
     )
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from compalg import scalars
 from compalg.cli import (
     SUITES,
     SuiteConfig,
+    config_echo,
     diff_reports,
     main,
     parse_config,
@@ -50,6 +52,18 @@ def test_parse_config_valid():
     assert cfg.hbar == [Fraction(1, 2), Fraction(2)]
     assert cfg.pair_count == 50
     assert cfg.record_timings is True
+
+
+@pytest.mark.parametrize("word, value", [("1", True), ("YES", True), ("True", True),
+                                         ("0", False), ("no", False), ("FALSE", False)])
+def test_record_timings_takes_six_words_in_any_case(word, value):
+    assert parse_config(f"record_timings = {word}").record_timings is value
+
+
+def test_config_echo_is_every_field_but_the_run_settings():
+    echo = config_echo(SuiteConfig(hbar=[Fraction(1, 2)], report="r.md", format="md"))
+    assert set(echo) == {f.name for f in fields(SuiteConfig)} - {"report", "format", "record_timings"}
+    assert echo["hbar"] == ["1/2"] and echo["suites"] == ["all"] and echo["pair_count"] == 200
 
 
 def test_parse_config_rejects_unknown_key():
@@ -157,6 +171,21 @@ def test_diff_schema_mismatch():
         diff_reports(a, b)
 
 
+@pytest.mark.parametrize("text", ["{}", "[]", '{"suites": 1}', '{"suites": [1]}', '{"version": 1}'])
+def test_diff_of_a_non_report_is_a_schema_mismatch(tmp_path, capsys, text):
+    # valid JSON that is not a report exits 2, not 1 ("suites changed") with a traceback
+    good = tmp_path / "r.json"
+    assert main(["verify", "--suite", "kahler", "--report", str(good)]) == 0
+    other = tmp_path / "other.json"
+    other.write_text(text)
+    with pytest.raises(SchemaMismatch):
+        diff_reports(json.loads(good.read_text()), json.loads(text))
+    assert main(["diff", str(good), str(other)]) == 2
+    assert main(["diff", str(other), str(other)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: not a report") and "Traceback" not in err
+
+
 def test_main_exit_codes(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(
@@ -228,6 +257,17 @@ def test_raising_suite_is_an_error_not_a_crash(monkeypatch, capsys, tmp_path):
     assert code == 3
     assert json.loads(out.read_text())["verdict"] == "error"
     assert "EigenFailure" in capsys.readouterr().err
+
+
+def test_run_stamps_the_registry_entry_onto_the_record(monkeypatch):
+    # a runner registered under a second key reports that key, on the error path too
+    runner, _, _ = SUITES["minimizer-no-go"]
+    monkeypatch.setitem(SUITES, "minimizer-copy", (runner, "a second anchor", "pass"))
+    monkeypatch.setitem(SUITES, "raising-copy", (lambda cfg, seed: 1 / 0, "a third anchor", "fail"))
+    rep = run(fast_cfg(suites=["minimizer-copy", "raising-copy"]))
+    got = [(s["name"], s["anchor"], s["expected"], s["verdict"]) for s in rep["suites"]]
+    assert got == [("minimizer-copy", "a second anchor", "pass", "pass"),
+                   ("raising-copy", "a third anchor", "fail", "error")]
 
 
 def test_hilbert_suite_honours_dim_cap():
@@ -307,7 +347,7 @@ def test_python_m_compalg_runs_from_a_checkout(tmp_path):
     assert json.loads(done.stdout)["verdict"] == "pass"
 
 
-@pytest.mark.parametrize("line", ["seed = abc", "pair_count = x", "hbar = 1/0"])
+@pytest.mark.parametrize("line", ["seed = abc", "pair_count = x", "hbar = 1/0", "record_timings = ture"])
 def test_malformed_config_value_is_a_config_error(tmp_path, capsys, line):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(f"# malformed value\n{line}\n")

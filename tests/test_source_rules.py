@@ -1,7 +1,7 @@
 """Rules on the package source: one eigensolver path, sympy only in tests,
 no ``assert`` statements, which ``python -O`` strips, one home for the
-integer-numerator helpers, no def that nothing reaches, and no error type
-that nothing raises."""
+integer-numerator helpers, no def that nothing reaches, no error type
+that nothing raises, and no suite name outside the suite registry."""
 
 import ast
 import re
@@ -162,3 +162,29 @@ def test_error_rule_flags_an_unraised_type():
 def test_every_error_type_is_raised():
     sources = [f.read_text() for f in sorted(SRC.rglob("*.py"))]
     assert _unraised((SRC / "errors.py").read_text(), sources) == []
+
+
+def _suite_names_in_functions(text):
+    """String literals in the function bodies of `text` that equal a key of
+    its top-level ``SUITES`` dict: a suite is named only in the registry."""
+    tree = ast.parse(text)
+    keys = {k.value for s in tree.body if isinstance(s, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "SUITES" for t in s.targets)
+            for k in s.value.keys}
+    return sorted(n.value for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.Lambda))
+                  for n in ast.walk(f) if isinstance(n, ast.Constant) and n.value in keys)
+
+
+def test_suite_name_rule_flags_a_runner_that_names_its_suite():
+    registry = '\n\nSUITES = {"kahler": (_suite_kahler, "flat triple", "pass")}\n'
+    named = 'def _suite_kahler(cfg, seed):\n    return _result("kahler", True, 1)\n'
+    assert _suite_names_in_functions(named + registry) == ["kahler"]
+    outcome = 'def _suite_kahler(cfg, seed):\n    return _result(True, 1)\n'
+    assert _suite_names_in_functions(outcome + registry) == []
+
+
+def test_cli_names_each_suite_only_in_its_registry():
+    text = (SRC / "cli.py").read_text()
+    assert _suite_names_in_functions(text) == []
+    # the rule reads cli.py's own registry
+    assert _suite_names_in_functions(text + 'def _f():\n    return "kahler"\n') == ["kahler"]
