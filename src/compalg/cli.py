@@ -75,8 +75,12 @@ _PARSERS = {
 _CONFIG_KEYS = {f.name for f in fields(SuiteConfig)}
 
 
-def parse_config(text: str) -> SuiteConfig:
-    """Flat key = value lines; '#' comments; lists comma-separated."""
+def parse_config(text: str, flags: dict | None = None) -> SuiteConfig:
+    """Flat key = value lines; '#' comments; lists comma-separated.
+
+    A value in `flags` that is not None overrides the key it is named by,
+    as a command-line flag does; the config is validated once, after that.
+    """
     cfg = SuiteConfig()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -92,6 +96,9 @@ def parse_config(text: str) -> SuiteConfig:
             setattr(cfg, key, _PARSERS.get(key, int)(val))
         except (ValueError, ZeroDivisionError, KeyError):  # KeyError: not a flag word
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {val!r}") from None
+    for key, value in (flags or {}).items():
+        if key in _CONFIG_KEYS and value is not None:
+            setattr(cfg, key, value)
     _validate(cfg)
     return cfg
 
@@ -300,7 +307,7 @@ def _suite_kahler(cfg: SuiteConfig, seed: int):
     tr = hilbert.build_kahler(2)
     for i in range(20):
         w = hilbert.sample_compatible_symplectic(rng, 2)
-        x = np.array([rng.gauss(0, 1) for _ in range(4)])
+        x = np.array(hilbert._gauss_draws(rng, 4, 1))
         x = x / np.sqrt(x @ tr.g.astype(float) @ x)
         samples += 1
         if not hilbert.normalization_constraint_check(tr, x, w):
@@ -362,22 +369,23 @@ def _suite_envariance(kind):
         bad = []
         count = min(cfg.pair_count, 100)
         for i in range(count):
-            d1, d2 = rng.randint(2, 4), rng.randint(2, 4)
-            st = envariance.random_state(rng, d1, d2)
-            r = min(d1, d2)
-            phases = [rng.uniform(-pi, pi) for _ in range(r)]
-            if kind == "reflexivity":
-                winds = [rng.randint(0, 2) for _ in range(r)]
-                ok = envariance.verify_reflexivity(st, phases, winds)
-                ok = ok and envariance.winding_independence(st, phases)
-            elif kind == "symmetry":
-                ok = envariance.verify_symmetry(st, phases)
-            else:
+            if kind == "transitivity":
                 st = envariance.random_state(rng, 2, 2)
                 phases = [rng.uniform(-pi, pi) for _ in range(2)]
-                xi = np.array([rng.gauss(0, 1) + 1j * rng.gauss(0, 1) for _ in range(2)])
-                eta = np.array([rng.gauss(0, 1) + 1j * rng.gauss(0, 1) for _ in range(2)])
-                ok = envariance.verify_transitivity(st, phases, xi, eta)
+                x = hilbert._gauss_draws(rng, 8, 1)
+                z = [re + 1j * im for re, im in zip(x[0::2], x[1::2])]
+                ok = envariance.verify_transitivity(st, phases, np.array(z[:2]), np.array(z[2:]))
+            else:
+                d1, d2 = rng.randint(2, 4), rng.randint(2, 4)
+                st = envariance.random_state(rng, d1, d2)
+                r = min(d1, d2)
+                phases = [rng.uniform(-pi, pi) for _ in range(r)]
+                if kind == "reflexivity":
+                    winds = [rng.randint(0, 2) for _ in range(r)]
+                    ok = envariance.verify_reflexivity(st, phases, winds)
+                    ok = ok and envariance.winding_independence(st, phases)
+                else:
+                    ok = envariance.verify_symmetry(st, phases)
             if not ok:
                 bad.append({"sample": i})
         return _result(not bad, count, bad)
@@ -526,12 +534,8 @@ def main(argv=None) -> int:
         if args.config:
             with open(args.config) as f:
                 text = f.read()
-        cfg = parse_config(text)
-        # a flag given on the command line overrides the config key it is stored under
-        for f in fields(cfg):
-            if (value := getattr(args, f.name, None)) is not None:
-                setattr(cfg, f.name, value)
-        _validate(cfg)
+        # each verify flag is stored under the config key it overrides
+        cfg = parse_config(text, vars(args))
         rep = run(cfg)
         out = report_json(rep) if cfg.format == "json" else report_md(rep)
         if cfg.report:

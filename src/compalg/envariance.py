@@ -16,6 +16,7 @@ from math import pi
 import numpy as np
 
 from .errors import DimensionBlowup, NotSchmidtDiagonal
+from .hilbert import _gauss_draws
 
 
 @dataclass(frozen=True)
@@ -36,9 +37,7 @@ class PureState:
 
 
 def random_state(rng: random.Random, d1: int, d2: int) -> PureState:
-    v = np.array(
-        [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(d1 * d2)]
-    )
+    v = np.array(_gauss_draws(rng, 2 * d1 * d2, 1)).view(complex)
     return PureState((d1, d2), v / np.linalg.norm(v))
 
 

@@ -6,6 +6,10 @@ multiplication.  The operator norm is the spectral radius of T^dagger T,
 computed with a self-contained eigensolver: Householder reduction of the
 complex Hermitian matrix to a real symmetric tridiagonal one, then
 implicit-shift QL on the eigenvalues only.
+
+Random Hermitian matrices are the `random.gauss` stream of a seeded
+`random.Random`, drawn in one pass by `_gauss_draws`: the same floats, and
+the same generator state after them, as one `gauss` call per draw.
 """
 
 from __future__ import annotations
@@ -185,10 +189,41 @@ def cstar_check(t: np.ndarray, rtol: float = 1e-10) -> bool:
 # Carrier over Hermitian matrices
 # ---------------------------------------------------------------------------
 
+def _gauss_draws(rng: random.Random, n: int, sigma: float) -> list:
+    """`[rng.gauss(0, sigma) for _ in range(n)]` in one pass, bit for bit.
+
+    CPython's `gauss` is the Box-Muller transform (Ann. Math. Stat. 29,
+    1958): two `random()` calls give the pair cos(x)r, sin(x)r, one is
+    returned and the other kept in `gauss_next` for the next call.  This
+    loop takes a pending `gauss_next` first, then each pair with libm's
+    functions in `gauss`'s order, `0 +` included (it turns -0.0 into 0.0);
+    for an odd count it keeps the last pair's sine in `gauss_next` instead
+    of returning it, so `rng` ends in the state the calls would leave.  It
+    saves a method call per draw.
+    """
+    out = []
+    if n and rng.gauss_next is not None:
+        out.append(0 + rng.gauss_next * sigma)
+        rng.gauss_next = None
+        n -= 1
+    random = rng.random
+    for _ in range((n + 1) // 2):
+        x2pi = random() * math.tau
+        g2rad = math.sqrt(-2.0 * math.log(1.0 - random()))
+        z = math.sin(x2pi) * g2rad
+        out.append(0 + math.cos(x2pi) * g2rad * sigma)
+        out.append(0 + z * sigma)
+    if n % 2:
+        out.pop()
+        rng.gauss_next = z
+    return out
+
+
 def sample_hermitian(rng: random.Random, dim: int) -> np.ndarray:
     """(M + M*)/2 for M with N(0, 2) real and imaginary parts, drawn row by
-    row, real part first; one flat draw viewed as complex pairs."""
-    flat = [rng.gauss(0, 2.0) for _ in range(2 * dim * dim)]
+    row, real part first: the `rng.gauss(0, 2.0)` stream, taken in one
+    `_gauss_draws` pass and viewed as complex pairs."""
+    flat = _gauss_draws(rng, 2 * dim * dim, 2.0)
     m = np.array(flat).view(complex).reshape(dim, dim)
     return 0.5 * (m + m.conj().T)
 
@@ -321,10 +356,7 @@ def sample_compatible_symplectic(rng: random.Random, n: int) -> np.ndarray:
     K is the real embedding of an anti-Hermitian n x n complex matrix, so
     exp(K) is in the unitary subgroup U(n) = Sp(2n) ∩ O(2n).
     """
-    h = np.array(
-        [[complex(rng.gauss(0, 0.5), rng.gauss(0, 0.5)) for _ in range(n)]
-         for _ in range(n)]
-    )
+    h = np.array(_gauss_draws(rng, 2 * n * n, 0.5)).view(complex).reshape(n, n)
     h = 0.5 * (h - h.conj().T)  # anti-Hermitian
     k = np.block([[h.real, -h.imag], [h.imag, h.real]])
     return _expm(k)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CliffordViolation, NoRepFound
+from .hilbert import _gauss_draws
 from .phasepoly import PhasePoly
 from .scalars import I_COMPLEX
 
@@ -112,10 +113,8 @@ def norms_commute(q: Quantion, tol: float = 1e-12) -> bool:
 
 
 def sample_quantion(rng: random.Random, scale: float = 2.0) -> Quantion:
-    def z():
-        return complex(rng.gauss(0, scale), rng.gauss(0, scale))
-
-    return Quantion(z(), z(), z(), z())
+    x = _gauss_draws(rng, 8, scale)
+    return Quantion(*map(complex, x[0::2], x[1::2]))
 
 
 # ---------------------------------------------------------------------------

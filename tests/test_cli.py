@@ -356,6 +356,32 @@ def test_malformed_config_value_is_a_config_error(tmp_path, capsys, line):
     assert err.startswith("error: line 2:") and "Traceback" not in err
 
 
+def test_a_flag_overrides_a_bad_config_value(tmp_path):
+    # the config is validated after the flags are applied, not before
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("format = yaml\n")
+    rep = tmp_path / "r.json"
+    assert main(["verify", "--config", str(cfg), "--format", "json", "--suite", "kahler",
+                 "--report", str(rep)]) == 0
+    assert [s["name"] for s in json.loads(rep.read_text())["suites"]] == ["kahler"]
+
+
+def test_a_bad_config_value_without_a_flag_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("format = yaml\n")
+    assert main(["verify", "--config", str(cfg), "--suite", "kahler"]) == 2
+    assert capsys.readouterr().err == "error: unknown format 'yaml'\n"
+
+
+def test_parse_config_validates_after_the_flags():
+    assert parse_config("format = yaml", {"format": "md", "seed": None}).format == "md"
+    assert parse_config("seed = 3", {"seed": None}).seed == 3
+    with pytest.raises(ConfigError, match="unknown suite"):
+        parse_config("", {"suites": ["nope"]})
+    with pytest.raises(ConfigError, match="unknown format"):
+        parse_config("format = yaml")
+
+
 @pytest.mark.parametrize("hbar", ["0", "-1"])
 def test_non_positive_hbar_is_a_config_error(tmp_path, capsys, hbar):
     cfg = tmp_path / "cfg.txt"

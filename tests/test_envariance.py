@@ -34,6 +34,22 @@ def test_product_state_schmidt_rank_one():
     assert np.max(np.abs(sf.lambdas[1:])) < 1e-14
 
 
+def _reference_random_state(rng, d1, d2):
+    """`random_state` with one complex(gauss, gauss) per amplitude."""
+    v = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(d1 * d2)])
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 42])
+def test_random_state_matches_the_gauss_loop_bit_for_bit(seed):
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    for d1, d2 in [(2, 2), (2, 3), (4, 3), (1, 1)]:
+        st = random_state(rng, d1, d2)
+        assert st.dims == (d1, d2)
+        assert st.amplitudes.tobytes() == _reference_random_state(ref_rng, d1, d2).tobytes()
+    assert rng.getstate() == ref_rng.getstate()
+
+
 def test_schmidt_reconstruction_against_svd_oracle():
     rng = random.Random(0)
     for _ in range(20):

@@ -201,12 +201,79 @@ def _reference_sample_hermitian(rng, dim):
 
 @pytest.mark.parametrize("dim", range(1, 9))
 def test_sample_hermitian_matches_nested_construction(dim):
-    rng, ref_rng = random.Random(dim), random.Random(dim)
-    for _ in range(3):
-        got, ref = sample_hermitian(rng, dim), _reference_sample_hermitian(ref_rng, dim)
-        assert got.dtype == ref.dtype and got.shape == ref.shape
-        assert np.array_equal(got, ref)
-    assert rng.getstate() == ref_rng.getstate()
+    for seed, pending in [(dim, False), (17, True), (2**31 - 1, False), (2**31 - 1, True)]:
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        if pending:  # start from a stored gauss_next
+            rng.gauss(0, 1), ref_rng.gauss(0, 1)
+        for _ in range(3):
+            got, ref = sample_hermitian(rng, dim), _reference_sample_hermitian(ref_rng, dim)
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+        assert rng.getstate() == ref_rng.getstate()
+
+
+def _gauss_loop(rng, n, sigma):
+    """The stdlib oracle of `hilbert._gauss_draws`: one `gauss` call per draw."""
+    return [rng.gauss(0, sigma) for _ in range(n)]
+
+
+@pytest.mark.parametrize("pending", [False, True])
+# 0.3 is no power of two, so a reassociated product rounds differently
+@pytest.mark.parametrize("sigma", [1, 0.5, 2.0, 0.3])
+@pytest.mark.parametrize("n", range(10))
+def test_gauss_draws_are_the_gauss_stream_bit_for_bit(n, sigma, pending):
+    for seed in range(4):
+        rng, ref = random.Random(seed), random.Random(seed)
+        if pending:  # one earlier draw leaves its pair's sine in gauss_next
+            rng.gauss(0, 1), ref.gauss(0, 1)
+            assert rng.gauss_next is not None
+        got, want = hilbert._gauss_draws(rng, n, sigma), _gauss_loop(ref, n, sigma)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert rng.getstate() == ref.getstate()
+
+
+class _ScriptedUniforms(random.Random):
+    """A generator whose `random()` replays the given uniforms."""
+
+    def __init__(self, uniforms):
+        super().__init__(0)
+        self.uniforms = iter(uniforms)
+
+    def random(self):
+        return next(self.uniforms)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_gauss_draws_turn_a_negative_zero_into_zero(n):
+    # a second uniform of 0 makes the radius sqrt(-0.0) = -0.0; gauss returns 0 + (-0.0) = 0.0
+    uniforms = (0.1, 0.0, 0.3, 0.0)
+    rng, ref = _ScriptedUniforms(uniforms), _ScriptedUniforms(uniforms)
+    got, want = hilbert._gauss_draws(rng, n, 2.0), _gauss_loop(ref, n, 2.0)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert "-0x0.0p+0" not in [x.hex() for x in got]
+    assert (rng.gauss_next is None) == (ref.gauss_next is None)
+    if n % 2:
+        assert rng.gauss_next.hex() == ref.gauss_next.hex() == "-0x0.0p+0"
+
+
+def _reference_compatible_symplectic(rng, n):
+    """`sample_compatible_symplectic` with one complex(gauss, gauss) per entry."""
+    h = np.array(
+        [[complex(rng.gauss(0, 0.5), rng.gauss(0, 0.5)) for _ in range(n)]
+         for _ in range(n)]
+    )
+    h = 0.5 * (h - h.conj().T)
+    return hilbert._expm(np.block([[h.real, -h.imag], [h.imag, h.real]]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sample_compatible_symplectic_matches_the_gauss_loop_bit_for_bit(n):
+    for seed in (0, 5, 11):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            got = sample_compatible_symplectic(rng, n)
+            assert got.tobytes() == _reference_compatible_symplectic(ref_rng, n).tobytes()
+        assert rng.getstate() == ref_rng.getstate()
 
 
 def test_spectral_norm_against_numpy_oracle():

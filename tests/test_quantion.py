@@ -31,6 +31,28 @@ from compalg.quantion import (
 )
 
 
+def _reference_quantion(rng, scale=2.0):
+    """`sample_quantion` with one complex(gauss, gauss) per entry."""
+    def z():
+        return complex(rng.gauss(0, scale), rng.gauss(0, scale))
+
+    return Quantion(z(), z(), z(), z())
+
+
+def _bits(q):
+    return [(type(z), z.real.hex(), z.imag.hex()) for z in (q.a, q.b, q.c, q.d)]
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.5])
+@pytest.mark.parametrize("seed", [0, 9, 123])
+def test_sample_quantion_matches_the_gauss_loop_bit_for_bit(seed, scale):
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    rng.gauss(0, 1), ref_rng.gauss(0, 1)  # start from a pending gauss_next
+    for _ in range(5):
+        assert _bits(sample_quantion(rng, scale)) == _bits(_reference_quantion(ref_rng, scale))
+    assert rng.getstate() == ref_rng.getstate()
+
+
 def test_sharp_times_self_is_determinant():
     rng = random.Random(0)
     for _ in range(100):

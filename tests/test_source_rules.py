@@ -1,7 +1,8 @@
 """Rules on the package source: one eigensolver path, sympy only in tests,
 no ``assert`` statements, which ``python -O`` strips, one home for the
 integer-numerator helpers, no def that nothing reaches, no error type
-that nothing raises, and no suite name outside the suite registry."""
+that nothing raises, no suite name outside the suite registry, and one
+Gaussian draw path."""
 
 import ast
 import re
@@ -188,3 +189,23 @@ def test_cli_names_each_suite_only_in_its_registry():
     assert _suite_names_in_functions(text) == []
     # the rule reads cli.py's own registry
     assert _suite_names_in_functions(text + 'def _f():\n    return "kahler"\n') == ["kahler"]
+
+
+def _gauss_calls(text):
+    """Line numbers of the ``gauss(...)`` calls in `text`: every Gaussian
+    draw of the package goes through ``hilbert._gauss_draws``, which makes
+    the ``random.gauss`` stream without calling ``gauss``."""
+    return [n.lineno for n in ast.walk(ast.parse(text)) if isinstance(n, ast.Call)
+            and (getattr(n.func, "attr", None) == "gauss" or getattr(n.func, "id", None) == "gauss")]
+
+
+def test_gauss_rule_flags_a_gauss_call():
+    assert _gauss_calls("x = rng.gauss(0, 1)\n") == [1]
+    assert _gauss_calls("from random import gauss\n\nx = [gauss(0, 2.0)]\n") == [3]
+    draws = 'def f(rng):\n    """rng.gauss(0, 1) per draw"""\n    return _gauss_draws(rng, 4, 1)\n'
+    assert _gauss_calls(draws) == []
+
+
+def test_package_draws_gaussians_in_one_place():
+    found = {f.name: v for f in sorted(SRC.rglob("*.py")) if (v := _gauss_calls(f.read_text()))}
+    assert found == {}
