@@ -135,31 +135,38 @@ def config_echo(cfg: SuiteConfig) -> dict:
 # Suites
 # ---------------------------------------------------------------------------
 
-def _result(passed, samples, failures=None, max_residual=0.0, extra=None):
-    """A runner's outcome; `run` stamps the suite's name, anchor and expected verdict."""
+def _result(samples, failures, max_residual=0.0, witness=None):
+    """A runner's outcome, whose verdict is "fail" exactly when it lists a
+    failure; `run` stamps the suite's name, anchor and expected verdict."""
     out = {
-        "verdict": "pass" if passed else "fail",
+        "verdict": "fail" if failures else "pass",
         "samples": samples,
-        "failures": failures or [],
+        "failures": failures,
         "max_residual": max_residual,
     }
-    if extra:
-        out["witness"] = extra
+    if witness:
+        out["witness"] = witness
     return out
 
 
-def _identity_table(carriers, cfg: SuiteConfig, seed: int, failures=(), samples=0):
-    """The identity table on `carriers`, plus the `failures` of `samples` other checks."""
+def _fold(reports, failures=(), samples=0):
+    """The outcome of `reports` (``algebra.IdentityReport``s) after the
+    `failures` of `samples` other checks: samples add up, the worst residual
+    is kept, and a report that misses its verdict lists each of its failures
+    stamped with its carrier and identity."""
     failures = list(failures)
-    total = samples
     worst = 0.0
-    for carrier in carriers:
-        for rep in algebra.check_all_identities(carrier, cfg.identity_count, seed):
-            total += rep.samples
-            worst = max(worst, rep.max_residual)
-            if not rep.passed:
-                failures.append({"carrier": rep.carrier, "identity": rep.identity})
-    return _result(not failures, total, failures, worst)
+    for rep in reports:
+        samples += rep.samples
+        worst = max(worst, rep.max_residual)
+        if not rep.passed:
+            failures += ({**f, "carrier": rep.carrier, "identity": rep.identity} for f in rep.failures)
+    return _result(samples, failures, worst)
+
+
+def _identity_table(carriers, cfg: SuiteConfig, seed: int):
+    """The identity reports of every carrier in `carriers`."""
+    return (rep for c in carriers for rep in algebra.check_all_identities(c, cfg.identity_count, seed))
 
 
 def _suite_identities(cls):
@@ -168,7 +175,7 @@ def _suite_identities(cls):
             algebra.phase_poly_carrier(cls, h, dof, cfg.degree_cap)
             for h in cfg.hbar for dof in (1, 2)
         )
-        return _identity_table(carriers, cfg, seed)
+        return _fold(_identity_table(carriers, cfg, seed))
 
     return run
 
@@ -181,42 +188,31 @@ def _suite_hilbert(cfg: SuiteConfig, seed: int):
         if not hilbert.cstar_check(t, 1e-10):
             cstar.append({"law": "cstar", "sample": i})
     carriers = (hilbert.matrix_carrier(dim) for dim in sorted({min(4, cfg.dim_cap), cfg.dim_cap}))
-    return _identity_table(carriers, cfg, seed, cstar, cfg.identity_count)
+    return _fold(_identity_table(carriers, cfg, seed), cstar, cfg.identity_count)
 
 
 def _suite_monoid(cfg: SuiteConfig, seed: int):
-    failures = []
-    total = 0
-    worst = 0.0
-    for cls in CLASSES:
-        c = algebra.phase_poly_carrier(cls, cfg.hbar[0], 1, 2)
-        rep = algebra.check_monoid(c, c, c, count=max(4, cfg.identity_count // 3), seed=seed)
-        total += rep.samples
-        worst = max(worst, rep.max_residual)
-        if not rep.passed:
-            failures.extend(rep.failures)
-    return _result(not failures, total, failures, worst)
+    carriers = (algebra.phase_poly_carrier(cls, cfg.hbar[0], 1, 2) for cls in CLASSES)
+    count = max(4, cfg.identity_count // 3)
+    return _fold(algebra.check_monoid(c, c, c, count=count, seed=seed) for c in carriers)
 
 
 def _suite_falsify_a(cfg: SuiteConfig, seed: int):
     c = algebra.phase_poly_carrier(ELLIPTIC, cfg.hbar[0], 1, 3)
     extras = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(0))
     reps = algebra.falsify_sweep(c, c, extras, count=50, seed=seed)
-    witnesses = [
-        {"a": str(a), "counterexamples": len(rep.failures)}
-        for a, rep in zip(extras, reps) if a and rep.failures
-    ]
-    ok = all(rep.passed for rep in reps)
-    samples = sum(rep.samples for rep in reps)
+    sweeps = [{"a": str(a), "counterexamples": len(rep.failures)} for a, rep in zip(extras, reps)]
     # the a = 0 sweep is the law that must hold exactly; the others fail by design
+    missed = [s for s, rep in zip(sweeps, reps) if not rep.passed]
+    witnesses = [s for s, a in zip(sweeps, extras) if a and s["counterexamples"]]
+    samples = sum(rep.samples for rep in reps)
     residual = max(rep.max_residual for a, rep in zip(extras, reps) if not a)
-    return _result(ok, samples, max_residual=residual, extra=witnesses)
+    return _result(samples, missed, residual, witnesses)
 
 
 def _suite_triviality(cfg: SuiteConfig, seed: int):
     c = algebra.phase_poly_carrier(ELLIPTIC, cfg.hbar[0], 1, 3)
-    rep = algebra.single_product_triviality(c, count=cfg.identity_count, seed=seed)
-    return _result(rep.passed, rep.samples, rep.failures, rep.max_residual)
+    return _fold([algebra.single_product_triviality(c, count=cfg.identity_count, seed=seed)])
 
 
 def _suite_deformation(cfg: SuiteConfig, seed: int):
@@ -232,23 +228,24 @@ def _suite_deformation(cfg: SuiteConfig, seed: int):
         bad.append({"sample": "canonical"})
     if poisson(q, PhasePoly.p(2, 2)) != PhasePoly(2):
         bad.append({"sample": "canonical-cross"})
-    return _result(not bad, cfg.pair_count + 2, bad)
+    return _result(cfg.pair_count + 2, bad)
 
 
 def _suite_ghost(cfg: SuiteConfig, seed: int):
     try:
         w = moyalpos.ghost_search(cfg.hbar[0], cfg.ghost_bound)
         extra = {"coeffs": list(w.coeffs), "value": str(w.value_real), "g": w.canonical}
-        return _result(True, w.evaluated, extra=extra)
+        return _result(w.evaluated, [], witness=extra)
     except CompalgError as e:
-        return _result(False, 0, [{"error": str(e)}])
+        return _result(0, [{"error": str(e)}])
 
 
 def _suite_positivity(cfg: SuiteConfig, seed: int):
     levels = (0, 1)
     mn = moyalpos.elliptic_control_sweep(cfg.hbar[0], cfg.ghost_bound, levels)
     samples = len(levels) * (2 * cfg.ghost_bound + 1) ** 5
-    return _result(mn >= 0, samples, extra={"min_value": str(mn)})
+    witness = {"min_value": str(mn)}
+    return _result(samples, [] if mn >= 0 else [witness], witness=witness)
 
 
 def _suite_split_geometry(cfg: SuiteConfig, seed: int):
@@ -273,9 +270,9 @@ def _suite_split_geometry(cfg: SuiteConfig, seed: int):
             if not holds:
                 bad.append({"sample": i, "law": law})
     return _result(
-        not bad, cfg.pair_count, bad,
-        extra={"cauchy_schwarz_admissible": admissible["cauchy-schwarz"],
-               "triangle_admissible": admissible["triangle"]},
+        cfg.pair_count, bad,
+        witness={"cauchy_schwarz_admissible": admissible["cauchy-schwarz"],
+                 "triangle_admissible": admissible["triangle"]},
     )
 
 
@@ -287,9 +284,9 @@ def _suite_minimizer(cfg: SuiteConfig, seed: int):
             "segment": [str(w.segment[0]), str(w.segment[1])],
             "distance_square": str(w.distance_square(Fraction(0))),
         }
-        return _result(True, checked, extra=extra)
+        return _result(checked, [], witness=extra)
     except AssertionError as e:
-        return _result(False, 0, [{"error": str(e)}])
+        return _result(0, [{"error": str(e)}])
 
 
 def _suite_kahler(cfg: SuiteConfig, seed: int):
@@ -312,7 +309,7 @@ def _suite_kahler(cfg: SuiteConfig, seed: int):
         samples += 1
         if not hilbert.normalization_constraint_check(tr, x, w):
             bad.append({"sample": i, "law": "normalization"})
-    return _result(not bad, samples, bad)
+    return _result(samples, bad)
 
 
 def _suite_berezin(cfg: SuiteConfig, seed: int):
@@ -336,7 +333,7 @@ def _suite_berezin(cfg: SuiteConfig, seed: int):
     if e4 > 1e-5:
         bad.append({"law": "correspondence", "err": e4})
     errs = (e1, e2, e3, e4)
-    return _result(not bad, len(errs), bad, max(errs))
+    return _result(len(errs), bad, max(errs))
 
 
 def _suite_quantions(cfg: SuiteConfig, seed: int):
@@ -360,7 +357,7 @@ def _suite_quantions(cfg: SuiteConfig, seed: int):
     for e in monomials:
         if not quantion.dalembertian_factorization(PhasePoly(2, {e: Fraction(1)})):
             bad.append({"law": "factorization", "monomial": list(e)})
-    return _result(not bad, 2 * cfg.pair_count + len(monomials), bad, extra={"gamma_rep": rep.label})
+    return _result(2 * cfg.pair_count + len(monomials), bad, witness={"gamma_rep": rep.label})
 
 
 def _suite_envariance(kind):
@@ -388,7 +385,7 @@ def _suite_envariance(kind):
                     ok = envariance.verify_symmetry(st, phases)
             if not ok:
                 bad.append({"sample": i})
-        return _result(not bad, count, bad)
+        return _result(count, bad)
 
     return run
 
@@ -431,7 +428,7 @@ def run(cfg: SuiteConfig) -> dict:
             res = runner(cfg, cfg.seed)
         except Exception as e:  # one raising suite must not abort the others
             traceback.print_exc(file=sys.stderr)
-            res = _result(False, 0, [{"error": f"{type(e).__name__}: {e}"}])
+            res = _result(0, [{"error": f"{type(e).__name__}: {e}"}])
             res["verdict"] = "error"
         wall = time.monotonic() - t0
         res.update(name=name, anchor=anchor, expected=expected)

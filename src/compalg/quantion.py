@@ -40,9 +40,6 @@ class Quantion:
         return np.array([[self.a, self.c], [self.b, self.d]], dtype=complex)
 
 
-Q_ONE = Quantion(1, 0, 0, 1)
-
-
 def q_mul(x: Quantion, y: Quantion) -> Quantion:
     """2x2 matrix product on the reduced forms."""
     return Quantion(
@@ -134,39 +131,30 @@ def to_spinor(q: Quantion) -> np.ndarray:
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
-def _gamma_dirac() -> list:
-    g0 = np.block(
-        [[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), -np.eye(2)]]
-    ).astype(complex)
-    gs = [
-        np.block([[np.zeros((2, 2)), PAULI[k]], [-PAULI[k], np.zeros((2, 2))]])
-        for k in ("x", "y", "z")
-    ]
-    return [g0] + gs
-
-
-def _gamma_weyl() -> list:
-    z = np.zeros((2, 2))
-    g0 = np.block([[z, np.eye(2)], [np.eye(2), z]]).astype(complex)
-    gs = [
+def _gamma_basis(family: str) -> list:
+    """gamma^0..gamma^3 of the "dirac" or "weyl" basis; both share [[0, sigma_k], [-sigma_k, 0]]."""
+    one, z = np.eye(2), np.zeros((2, 2))
+    g0 = {"dirac": [[one, z], [z, -one]], "weyl": [[z, one], [one, z]]}[family]
+    return [np.block(g0).astype(complex)] + [
         np.block([[z, PAULI[k]], [-PAULI[k], z]]) for k in ("x", "y", "z")
     ]
-    return [g0] + gs
 
 
 @dataclass(frozen=True)
 class GammaRep:
-    """A labelled candidate set of gamma matrices.
+    """A labelled set of gamma matrices, judged once, when it is built:
+    gammas that break the Clifford relations raise ``CliffordViolation``.
 
-    ``checked`` memoizes the verdict of ``clifford_check`` on ``gammas``, so
-    each rep is validated once however many currents it computes.  Reps
-    compare and hash by ``label``: the numpy ``gammas`` have no truth value
-    and no hash.
+    Reps compare and hash by ``label``: the numpy ``gammas`` have no truth
+    value and no hash.
     """
 
     label: str
     gammas: tuple = field(compare=False)
-    checked: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if not clifford_check(self.gammas):
+            raise CliffordViolation(self.label)
 
 
 def clifford_check(gammas, tol: float = 1e-12) -> bool:
@@ -183,18 +171,17 @@ def candidate_reps() -> list:
     """Dirac and Weyl bases with spatial sign flips and permutations.
 
     Sign flips and renumberings of the spatial gammas preserve the
-    Clifford relations, so every candidate is a legitimate representation;
-    only one family can reproduce the quantionic current.
+    Clifford relations, so every candidate is a legitimate representation
+    (each is checked as it is built); only one family can reproduce the
+    quantionic current.
     """
     out = []
-    for base_label, base in (("dirac", _gamma_dirac()), ("weyl", _gamma_weyl())):
+    for family in ("dirac", "weyl"):
+        g = _gamma_basis(family)
         for perm in itertools.permutations((1, 2, 3)):
             for signs in itertools.product((1, -1), repeat=3):
-                gs = [base[0]] + [
-                    signs[i] * base[perm[i]] for i in range(3)
-                ]
-                label = f"{base_label}-perm{perm}-signs{signs}"
-                out.append(GammaRep(label, tuple(gs)))
+                spatial = (s * g[k] for s, k in zip(signs, perm))
+                out.append(GammaRep(f"{family}-perm{perm}-signs{signs}", (g[0], *spatial)))
     return out
 
 
@@ -208,10 +195,6 @@ def dirac_current(psi: np.ndarray, gammas) -> np.ndarray:
 
 def dirac_current_check(q: Quantion, rep: GammaRep, tol: float = 1e-12) -> bool:
     """anorm components equal the spinor current in the given representation."""
-    if "clifford" not in rep.checked:
-        rep.checked["clifford"] = clifford_check(rep.gammas)
-    if not rep.checked["clifford"]:
-        raise CliffordViolation(rep.label)
     a = anorm(q)
     j = dirac_current(to_spinor(q), rep.gammas)
     lhs = np.array([a.t, a.x, a.y, a.z])
@@ -232,14 +215,10 @@ def rep_discovery(seed: int = 0) -> GammaRep:
     disjoint probe set must reproduce it.
     """
     probes = _probe_set(seed)
-    winners = []
-    for rep in candidate_reps():
-        if all(dirac_current_check(q, rep, 1e-9) for q in probes):
-            winners.append(rep)
+    winners = [r for r in candidate_reps() if all(dirac_current_check(q, r, 1e-9) for q in probes)]
     if not winners:
         raise NoRepFound("no candidate gamma family matches the current")
-    winners.sort(key=lambda r: r.label)
-    best = winners[0]
+    best = min(winners, key=lambda r: r.label)
     recheck = _probe_set(seed + 1)
     if not all(dirac_current_check(q, best, 1e-9) for q in recheck):
         raise NoRepFound("discovered representation unstable across probe sets")

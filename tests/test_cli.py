@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import json
 import os
@@ -309,6 +310,8 @@ def test_falsify_suite_counts_the_sweeps_that_ran(monkeypatch):
     assert suite["samples"] == 3 + 50 + 3 + 3
     assert suite["verdict"] == "fail" and suite["expected"] == "fail"
     assert suite["witness"] == [{"a": "1", "counterexamples": 1}, {"a": "1/2", "counterexamples": 1}]
+    # the fail record names the sweep that missed
+    assert suite["failures"] == [{"a": "-1", "counterexamples": 0}]
 
 
 def test_falsify_suite_reports_the_a0_residual(monkeypatch):
@@ -323,6 +326,36 @@ def test_falsify_suite_reports_the_a0_residual(monkeypatch):
     monkeypatch.setattr(algebra, "compose_bipartite", lambda a, b: _with_extra_a(a, b, Fraction(1, 3)))
     (suite,) = run(cfg)["suites"]
     assert suite["verdict"] == "fail" and suite["max_residual"] > 0.0
+    assert [f["a"] for f in suite["failures"]] == ["0"] and suite["failures"][0]["counterexamples"] > 0
+
+
+def test_positivity_suite_fail_record_lists_the_minimum(monkeypatch):
+    monkeypatch.setattr("compalg.moyalpos.elliptic_control_sweep", lambda hbar, bound, levels: -1)
+    (suite,) = run(fast_cfg(suites=["positivity-elliptic"]))["suites"]
+    assert suite["verdict"] == "fail" and suite["failures"] == [{"min_value": "-1"}]
+    assert suite["witness"] == {"min_value": "-1"}
+
+
+def test_identity_table_fail_record_lists_each_failing_sample(monkeypatch):
+    """A carrier whose skew product is doubled breaks the identities that are
+    not homogeneous in it; the record lists every failing sample of every
+    carrier, stamped with the carrier and identity it failed."""
+    from compalg import algebra
+
+    made, real_carrier = [], algebra.phase_poly_carrier
+
+    def doubled(*args):
+        good = real_carrier(*args)
+        made.append(dataclasses.replace(good, alpha=lambda f, g: good.scale(good.alpha(f, g), Fraction(2))))
+        return made[-1]
+
+    monkeypatch.setattr(algebra, "phase_poly_carrier", doubled)
+    cfg = fast_cfg(suites=["identities-elliptic-phase"], identity_count=2, degree_cap=2)
+    (suite,) = run(cfg)["suites"]
+    want = [(rep.carrier, rep.identity, f["sample"], f["witness"])
+            for c in made for rep in algebra.check_all_identities(c, 2, cfg.seed) for f in rep.failures]
+    assert suite["verdict"] == "fail" and want
+    assert [(f["carrier"], f["identity"], f["sample"], f["witness"]) for f in suite["failures"]] == want
 
 
 # sha256 of the default `compalg verify` JSON report at seed 0; a change that

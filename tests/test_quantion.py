@@ -11,7 +11,6 @@ from compalg.phasepoly import PhasePoly
 from compalg.quantion import (
     GammaRep,
     PAULI,
-    Q_ONE,
     Quantion,
     anorm,
     box,
@@ -29,6 +28,8 @@ from compalg.quantion import (
     sample_quantion,
     to_spinor,
 )
+
+Q_ONE = Quantion(1, 0, 0, 1)
 
 
 def _reference_quantion(rng, scale=2.0):
@@ -116,9 +117,8 @@ def test_all_candidates_satisfy_clifford():
 
 
 def test_clifford_violation_raised():
-    bad = GammaRep("broken", tuple(np.eye(4, dtype=complex) for _ in range(4)))
-    with pytest.raises(CliffordViolation):
-        dirac_current_check(Q_ONE, bad)
+    with pytest.raises(CliffordViolation, match="broken"):
+        GammaRep("broken", tuple(np.eye(4, dtype=complex) for _ in range(4)))
 
 
 def test_each_rep_is_clifford_checked_once(monkeypatch):
@@ -134,17 +134,39 @@ def test_each_rep_is_clifford_checked_once(monkeypatch):
     rng = random.Random(9)
     assert all(dirac_current_check(sample_quantion(rng), best) for _ in range(50))
     assert len(calls) == 96
-    # the memo is per rep: a rep with the same label built again is checked again
-    again = next(r for r in candidate_reps() if r.label == best.label)
-    assert again is not best
-    dirac_current_check(Q_ONE, again)
-    assert len(calls) == 97
-    # a broken rep raises on every call, from one check
-    bad = GammaRep("broken", tuple(np.eye(4, dtype=complex) for _ in range(4)))
-    for _ in range(3):
-        with pytest.raises(CliffordViolation):
-            dirac_current_check(Q_ONE, bad)
-    assert len(calls) == 98
+    # the check belongs to the built rep: building the candidates again checks each again
+    again = candidate_reps()
+    assert again[0] is not best and len(calls) == 2 * 96
+
+
+def _gamma_dirac():
+    """The Dirac basis as built before the two bases shared one builder."""
+    g0 = np.block(
+        [[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), -np.eye(2)]]
+    ).astype(complex)
+    gs = [
+        np.block([[np.zeros((2, 2)), PAULI[k]], [-PAULI[k], np.zeros((2, 2))]])
+        for k in ("x", "y", "z")
+    ]
+    return [g0] + gs
+
+
+def _gamma_weyl():
+    """The Weyl basis as built before the two bases shared one builder."""
+    z = np.zeros((2, 2))
+    g0 = np.block([[z, np.eye(2)], [np.eye(2), z]]).astype(complex)
+    gs = [
+        np.block([[z, PAULI[k]], [-PAULI[k], z]]) for k in ("x", "y", "z")
+    ]
+    return [g0] + gs
+
+
+@pytest.mark.parametrize("family, oracle", [("dirac", _gamma_dirac), ("weyl", _gamma_weyl)])
+def test_gamma_basis_matches_the_per_family_builders_bit_for_bit(family, oracle):
+    got, want = quantion._gamma_basis(family), oracle()
+    assert len(got) == len(want) == 4
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def test_reps_compare_and_hash_by_label():

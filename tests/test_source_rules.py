@@ -1,8 +1,8 @@
 """Rules on the package source: one eigensolver path, sympy only in tests,
 no ``assert`` statements, which ``python -O`` strips, one home for the
 integer-numerator helpers, no def that nothing reaches, no error type
-that nothing raises, no suite name outside the suite registry, and one
-Gaussian draw path."""
+that nothing raises, no suite name outside the suite registry, one
+Gaussian draw path, and one place that sets a suite's verdict."""
 
 import ast
 import re
@@ -178,9 +178,9 @@ def _suite_names_in_functions(text):
 
 def test_suite_name_rule_flags_a_runner_that_names_its_suite():
     registry = '\n\nSUITES = {"kahler": (_suite_kahler, "flat triple", "pass")}\n'
-    named = 'def _suite_kahler(cfg, seed):\n    return _result("kahler", True, 1)\n'
+    named = 'def _suite_kahler(cfg, seed):\n    return _result("kahler", 1, [])\n'
     assert _suite_names_in_functions(named + registry) == ["kahler"]
-    outcome = 'def _suite_kahler(cfg, seed):\n    return _result(True, 1)\n'
+    outcome = 'def _suite_kahler(cfg, seed):\n    return _result(1, [])\n'
     assert _suite_names_in_functions(outcome + registry) == []
 
 
@@ -209,3 +209,53 @@ def test_gauss_rule_flags_a_gauss_call():
 def test_package_draws_gaussians_in_one_place():
     found = {f.name: v for f in sorted(SRC.rglob("*.py")) if (v := _gauss_calls(f.read_text()))}
     assert found == {}
+
+
+def _verdict_writes(text):
+    """Line numbers of the writes of a ``"verdict"`` key in `text` (a dict
+    literal key, a subscript store or a ``verdict=`` keyword) outside
+    ``_result``, which derives a suite's verdict from its failures, other
+    than ``run``'s two: the "error" of a suite that raised, and the
+    report's own verdict in the dict that carries the suites."""
+    out = []
+    for top in ast.parse(text).body:
+        fn = top.name if isinstance(top, ast.FunctionDef) else None
+        if fn == "_result":
+            continue
+        for n in ast.walk(top):
+            if isinstance(n, ast.Dict):
+                keys = {k.value for k in n.keys if isinstance(k, ast.Constant)}
+                if "verdict" in keys and not (fn == "run" and "suites" in keys):
+                    out.append(n.lineno)
+            elif isinstance(n, ast.Assign):
+                stores = [t for t in n.targets if isinstance(t, ast.Subscript)
+                          and isinstance(t.slice, ast.Constant) and t.slice.value == "verdict"]
+                error = isinstance(n.value, ast.Constant) and n.value.value == "error"
+                if stores and not (fn == "run" and error):
+                    out.append(n.lineno)
+            elif isinstance(n, ast.keyword) and n.arg == "verdict":
+                out.append(n.value.lineno)
+    return out
+
+
+def test_verdict_rule_flags_a_runner_that_sets_its_own_verdict():
+    result = ('def _result(samples, failures):\n'
+              '    return {"verdict": "fail" if failures else "pass", "failures": failures}\n')
+    runner = 'def _suite_x(cfg, seed):\n    return {"verdict": "pass", "samples": 1, "failures": []}\n'
+    assert _verdict_writes(result + runner) == [4]
+    assert _verdict_writes('def _suite_x(cfg, seed):\n    res = _result(1, [])\n'
+                           '    res["verdict"] = "pass"\n    return res\n') == [3]
+    assert _verdict_writes('def _suite_x(cfg, seed):\n    return dict(verdict="pass")\n') == [2]
+    assert _verdict_writes('def run(cfg):\n    res.update(verdict="pass")\n') == [2]
+    assert _verdict_writes('def run(cfg):\n    res["verdict"] = "pass"\n') == [2]
+    # run's two writes: a raising suite's "error" and the report's own verdict
+    run = ('def run(cfg):\n    res["verdict"] = "error"\n'
+           '    return {"suites": [res], "verdict": "error"}\n')
+    assert _verdict_writes(result + run) == []
+
+
+def test_cli_sets_a_suite_verdict_only_in_result():
+    text = (SRC / "cli.py").read_text()
+    assert _verdict_writes(text) == []
+    # the rule reads cli.py's own runners
+    assert _verdict_writes(text + 'def _f():\n    return {"verdict": "pass"}\n')
