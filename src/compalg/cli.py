@@ -332,8 +332,12 @@ def _suite_berezin(cfg: SuiteConfig, seed: int):
     e4 = float(np.max(np.abs(corr[:k, :k] - np.eye(N)[:k, :k])))
     if e4 > 1e-5:
         bad.append({"law": "correspondence", "err": e4})
+    # criterion 9's squares; quantizing a degree-2 f needs N >= 6
+    squares = {"q^2": q * q, "q^2+p^2": q * q + p * p} if N >= 6 else {}
+    bad += [{"law": "positivity", "f": name} for name, f in squares.items()
+            if not berezin.positivity_preservation(berezin.berezin_quantize(f, h, N, grid), tol=1e-9)]
     errs = (e1, e2, e3, e4)
-    return _result(len(errs), bad, max(errs))
+    return _result(len(errs) + len(squares), bad, max(errs))
 
 
 def _suite_quantions(cfg: SuiteConfig, seed: int):

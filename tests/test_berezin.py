@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 from math import pi, sqrt
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 from compalg.berezin import (
-    _coeff_tensor,
-    _hermite_levels,
+    _BLOCK_ROWS,
+    QuadratureGrid,
     berezin_quantize,
     build_grid,
     ladder_momentum_oracle,
@@ -23,6 +24,51 @@ from compalg.scalars import EPS_DUAL, I_COMPLEX, J_SPLIT, ComplexRational
 Q = PhasePoly.q()
 P = PhasePoly.p()
 ONE = PhasePoly.const(1, 1)
+
+
+# -- the Gauss-Hermite coefficient tensor, kept as the oracle for the
+# closed-form amplitudes that berezin_quantize sums block by block ----------
+
+def _hermite_levels(x: np.ndarray, n_levels: int, hbar: float):
+    """Oscillator eigenfunctions with the Gaussian envelope stripped, one level
+    at a time.
+
+    Level n is psi_n(x) * exp(+x^2 / 2 hbar) over an array x of any shape,
+    from the standard three-term recurrence, so only two levels are held at
+    once; the envelope cancels against quadrature weights downstream.
+    """
+    y = sqrt(2.0) * (x / sqrt(hbar))
+    # level -1 is 0, so the step to level 1 is exactly y times level 0
+    prev, cur = 0.0, np.full(x.shape, (pi * hbar) ** -0.25)
+    for n in range(1, n_levels):
+        yield cur
+        prev, cur = cur, (y * cur - sqrt(n - 1) * prev) / sqrt(n)
+    yield cur
+
+
+def _coeff_tensor(qs: np.ndarray, ps: np.ndarray, hbar: float, N: int) -> np.ndarray:
+    """C[n, iq, ip] = <n|state(ps[ip], qs[iq])> from one Gauss-Hermite rule of
+    4N + 40 nodes.
+
+    The state is (pi hbar)^(-1/4) e^{-ipq/2h} e^{ipx/h} e^{-(x-q)^2/2h}.
+    Against psi_n's envelope the Gaussians complete to one square:
+    -x^2/2h - (x-q)^2/2h = -(x - q/2)^2/h - q^2/4h, so x = q/2 + t sqrt(h/2)
+    and the hermegauss weights carry e^{-t^2/2}.  The q/2 part of the plane
+    wave cancels e^{-ipq/2h} exactly, which leaves the phase table
+    E = e^{ipt sqrt(h/2)/h} independent of q: level n of the tensor is the
+    one matrix product (psi_n w) E^T, scaled by amp(q), written into C
+    level by level, so the build holds C and one level's temporaries.
+    """
+    t, w = np.polynomial.hermite_e.hermegauss(4 * N + 40)
+    s = sqrt(hbar / 2.0)
+    E = np.exp(1j * (s / hbar) * np.outer(ps, t))  # (np, nodes)
+    amp = (pi * hbar) ** -0.25 * s * np.exp(-qs * qs / (4.0 * hbar))
+    C = np.empty((N, len(qs), len(ps)), dtype=complex)
+    levels = _hermite_levels(qs[:, np.newaxis] / 2.0 + t * s, N, hbar)  # each (nq, nodes)
+    for level, psi in zip(C, levels):
+        np.matmul(psi * w, E.T, out=level)
+        level *= amp[:, np.newaxis]
+    return C
 
 
 def poisson_weight_oracle(p, q, hbar, N):
@@ -234,7 +280,7 @@ def test_coefficient_tensor_matches_poisson_weights_on_the_grid(hbar):
 OPERATOR_POLYS = (ONE, Q, P, Q * Q, Q * Q + P * P)
 
 
-def test_one_hermite_rule_and_no_pointwise_evaluation_per_quantization(monkeypatch):
+def test_no_hermite_rule_and_no_pointwise_evaluation_per_quantization(monkeypatch):
     counts = {"hermegauss": 0, "eval_float": 0}
     hermegauss = np.polynomial.hermite_e.hermegauss
     eval_float = PhasePoly.eval_float
@@ -250,57 +296,66 @@ def test_one_hermite_rule_and_no_pointwise_evaluation_per_quantization(monkeypat
     monkeypatch.setattr(np.polynomial.hermite_e, "hermegauss", counted_hermegauss)
     monkeypatch.setattr(PhasePoly, "eval_float", counted_eval_float)
     grid = build_grid(1.0, 16, 4)
-    assert counts["hermegauss"] == 0 and grid.plans == {}  # build_grid builds no tensor
-    for f in OPERATOR_POLYS:  # one grid's polynomials share one tensor
+    for f in OPERATOR_POLYS:
         berezin_quantize(f, 1.0, 16, grid)
-    assert counts == {"hermegauss": 1, "eval_float": 0}
-    assert list(grid.plans) == [(1.0, 16)]
+    assert counts == {"hermegauss": 0, "eval_float": 0}
 
 
-def _unmemoized_quantize(f, hbar, N, grid):
-    """berezin_quantize with a fresh tensor and a fresh contraction plan."""
+def _oracle_quantize(f, hbar, N, grid, C):
+    """The quantization as one einsum over the Gauss-Hermite tensor C of `grid`."""
     fv = np.zeros((len(grid.qs), len(grid.ps)), dtype=complex)
     for (a, b), c in f.terms.items():
         fv += complex(c.real, c.imag) * np.outer(grid.qs**a, grid.ps**b)
-    C = _coeff_tensor(grid.qs, grid.ps, hbar, N)
     kern = grid.weights * fv / (2.0 * pi * hbar)
     return np.einsum("mij,ij,nij->mn", C, kern, np.conj(C), optimize=True)
 
 
-def test_memoized_quantization_is_bit_identical_per_key():
+def test_quantization_matches_the_oracle_per_key_and_repeats_bit_for_bit():
     grid = build_grid(1.0, 16, 4)
-    keys = ((1.0, 16), (0.5, 16), (0.5, 12))  # each part of the key matters
-    for _ in range(2):  # the first pass fills the memo, the second reads it
-        for hbar, N in keys:
-            for f in OPERATOR_POLYS + (Q * P,):
-                got = berezin_quantize(f, hbar, N, grid)
-                assert np.array_equal(got, _unmemoized_quantize(f, hbar, N, grid))
-    assert sorted(grid.plans) == sorted(keys)
+    for hbar, N in ((1.0, 16), (0.5, 16), (0.5, 12)):  # each part of the key matters
+        C = _coeff_tensor(grid.qs, grid.ps, hbar, N)
+        for f in OPERATOR_POLYS + (Q * P,):
+            got = berezin_quantize(f, hbar, N, grid)
+            ref = _oracle_quantize(f, hbar, N, grid, C)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert berezin_quantize(f, hbar, N, grid).tobytes() == got.tobytes()
 
 
-@pytest.mark.parametrize("N", [12, 13, 14, 15])  # each remainder mod 4 of the row blocks
-def test_blocked_contraction_is_bit_identical_for_every_last_block(N):
-    grid = build_grid(1.0, N, 2)
+@pytest.mark.parametrize("rest", range(_BLOCK_ROWS))
+def test_blocked_quantization_matches_the_oracle_for_every_last_block(rest):
+    # the q-rows past the last full block number `rest` (0: every block is full)
+    full = build_grid(1.0, 12, 2)
+    rows = len(full.qs) - (len(full.qs) - rest) % _BLOCK_ROWS
+    grid = QuadratureGrid(2, full.qs[:rows], full.ps, full.weights[:rows])
+    assert rows % _BLOCK_ROWS == rest
+    C = _coeff_tensor(grid.qs, grid.ps, 1.0, 12)
     for f in (Q, Q * Q + P * P):
-        got = berezin_quantize(f, 1.0, N, grid)
-        assert got.tobytes() == _unmemoized_quantize(f, 1.0, N, grid).tobytes()
+        ref = _oracle_quantize(f, 1.0, 12, grid, C)
+        got = berezin_quantize(f, 1.0, 12, grid)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_quantization_holds_one_tensor_plus_one_block():
+def test_quantization_holds_no_coefficient_tensor():
     grid = build_grid(1.0, 16, 4)
-    plan = np.conj(_coeff_tensor(grid.qs, grid.ps, 1.0, 16))
+    tensor_bytes = 16 * len(grid.qs) * len(grid.ps) * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
-        for f in (ONE, Q, Q * Q + P * P):  # the first one builds the plan
+        for f in (ONE, Q, Q * Q + P * P):
             berezin_quantize(f, 1.0, 16, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * plan.nbytes
-    # the plan is conj(C) alone, bit for bit
-    (got,) = grid.plans.values()
-    assert isinstance(got, np.ndarray) and got.shape == plan.shape
-    assert got.tobytes() == plan.tobytes()
+    assert peak < 0.5 * tensor_bytes
+    # nothing is memoized on the grid
+    assert [f.name for f in dataclasses.fields(QuadratureGrid)] == ["exact_degree", "qs", "ps", "weights"]
+
+
+@pytest.mark.parametrize("hbar", [0.0, -1.0, float("nan")])
+def test_non_positive_hbar_is_rejected(hbar):
+    with pytest.raises(ValueError, match="hbar must be positive"):
+        build_grid(hbar, 16, 2)
+    with pytest.raises(ValueError, match="hbar must be positive"):
+        berezin_quantize(Q, hbar, 16, build_grid(1.0, 16, 2))
 
 
 def test_split_complex_coefficient_has_no_complex_value():

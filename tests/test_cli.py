@@ -336,6 +336,37 @@ def test_positivity_suite_fail_record_lists_the_minimum(monkeypatch):
     assert suite["witness"] == {"min_value": "-1"}
 
 
+def test_berezin_suite_checks_positivity_preservation(monkeypatch):
+    from compalg import berezin
+
+    (suite,) = run(fast_cfg(suites=["berezin"]))["suites"]
+    # unit, two ladders, correspondence, and the quantized q^2 and q^2 + p^2
+    assert suite["verdict"] == "pass" and suite["samples"] == 6
+    monkeypatch.setattr(berezin, "positivity_preservation", lambda qf, tol: False)
+    (suite,) = run(fast_cfg(suites=["berezin"]))["suites"]
+    assert suite["verdict"] == "fail"
+    assert suite["failures"] == [{"law": "positivity", "f": "q^2"}, {"law": "positivity", "f": "q^2+p^2"}]
+
+
+def test_berezin_suite_fails_without_the_factorial_normalization(monkeypatch):
+    from math import factorial
+
+    from compalg import berezin
+
+    real_quantize = berezin.berezin_quantize
+
+    def unnormalized(f, hbar, N, grid):
+        # amplitudes e^{-|a|^2/2} a^n without their 1/sqrt(n!): entry (m, n)
+        # grows by sqrt(m! n!)
+        root = np.sqrt([float(factorial(n)) for n in range(N)])
+        return real_quantize(f, hbar, N, grid) * np.outer(root, root)
+
+    monkeypatch.setattr(berezin, "berezin_quantize", unnormalized)
+    (suite,) = run(fast_cfg(suites=["berezin"]))["suites"]
+    assert suite["verdict"] == "fail"
+    assert "ladder" in [f["law"] for f in suite["failures"]]
+
+
 def test_identity_table_fail_record_lists_each_failing_sample(monkeypatch):
     """A carrier whose skew product is doubled breaks the identities that are
     not homogeneous in it; the record lists every failing sample of every
@@ -360,7 +391,7 @@ def test_identity_table_fail_record_lists_each_failing_sample(monkeypatch):
 
 # sha256 of the default `compalg verify` JSON report at seed 0; a change that
 # moves a byte of it updates this pin and says why in CHANGES.md
-DEFAULT_REPORT_SHA256 = "de67718fb70b6e180761a1f00c5493f8a5d7d1cf1a55922dcabbce5a85eae14a"
+DEFAULT_REPORT_SHA256 = "2f168585a840c124855854654cd34ca1b201e8ef86d0a3aa15183bc41ebb577c"
 
 
 def test_default_report_bytes_are_pinned():

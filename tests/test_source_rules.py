@@ -2,7 +2,8 @@
 no ``assert`` statements, which ``python -O`` strips, one home for the
 integer-numerator helpers, no def that nothing reaches, no error type
 that nothing raises, no suite name outside the suite registry, one
-Gaussian draw path, and one place that sets a suite's verdict."""
+Gaussian draw path, one place that sets a suite's verdict, and one
+coherent-state path."""
 
 import ast
 import re
@@ -259,3 +260,24 @@ def test_cli_sets_a_suite_verdict_only_in_result():
     assert _verdict_writes(text) == []
     # the rule reads cli.py's own runners
     assert _verdict_writes(text + 'def _f():\n    return {"verdict": "pass"}\n')
+
+
+HERMEGAUSS = re.compile(r"\bhermegauss\b")
+
+
+def _hermegauss_uses(text):
+    """Line numbers in `text` that name ``hermegauss``: the coherent states
+    of ``berezin`` come from their closed-form amplitudes alone, and the
+    Gauss-Hermite tensor is the tests' oracle."""
+    return [text.count("\n", 0, m.start()) + 1 for m in HERMEGAUSS.finditer(text)]
+
+
+def test_hermegauss_rule_flags_a_gauss_hermite_rule():
+    assert _hermegauss_uses("import numpy as np\nt, w = np.polynomial.hermite_e.hermegauss(40)\n") == [2]
+    assert _hermegauss_uses("from numpy.polynomial.hermite_e import hermegauss\n") == [1]
+    assert not _hermegauss_uses("t, w = np.polynomial.legendre.leggauss(40)\n")
+
+
+def test_package_has_one_coherent_state_path():
+    found = {f.name: v for f in sorted(SRC.rglob("*.py")) if (v := _hermegauss_uses(f.read_text()))}
+    assert found == {}
